@@ -1,12 +1,19 @@
 // End-to-end smoke test for the litegpu CLI: executes the real binary on
 // the checked-in examples/scenarios/*.json files and parses the JSON it
-// prints. Paths are injected by CMake (LITEGPU_CLI_PATH / LITEGPU_SCENARIO_DIR).
+// prints, and compares every example's report with its checked-in golden.
+// Paths are injected by CMake (LITEGPU_CLI_PATH / LITEGPU_SCENARIO_DIR /
+// LITEGPU_GOLDEN_DIR).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/util/json.h"
 
@@ -15,6 +22,9 @@
 #endif
 #ifndef LITEGPU_SCENARIO_DIR
 #error "LITEGPU_SCENARIO_DIR must be defined by the build"
+#endif
+#ifndef LITEGPU_GOLDEN_DIR
+#error "LITEGPU_GOLDEN_DIR must be defined by the build"
 #endif
 
 namespace litegpu {
@@ -86,6 +96,54 @@ TEST(CliSmoke, RunExecutesEveryCheckedInScenarioAsJson) {
     } else {
       EXPECT_TRUE(parsed->GetBool("ok", false)) << file;
       EXPECT_NE(parsed->Find("report"), nullptr) << file;
+    }
+  }
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Sorted stems of the *.json files in `dir`.
+std::vector<std::string> JsonStems(const std::string& dir) {
+  std::vector<std::string> stems;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".json") {
+      stems.push_back(entry.path().stem().string());
+    }
+  }
+  std::sort(stems.begin(), stems.end());
+  return stems;
+}
+
+TEST(CliSmoke, EveryExampleReportMatchesItsGolden) {
+  // The report contract: every example's --json report is byte-identical
+  // to tests/golden/<example>.json, serially and on the thread pool.
+  // Regenerate with tools/regen_goldens.sh only for an intended report
+  // change, and justify it in CHANGES.md.
+  std::vector<std::string> examples = JsonStems(LITEGPU_SCENARIO_DIR);
+  ASSERT_GE(examples.size(), 15u);
+  EXPECT_EQ(JsonStems(LITEGPU_GOLDEN_DIR), examples)
+      << "every example needs exactly one golden (tools/regen_goldens.sh)";
+  for (const std::string& name : examples) {
+    std::string golden = ReadFile(std::string(LITEGPU_GOLDEN_DIR) + "/" + name + ".json");
+    ASSERT_FALSE(golden.empty()) << name;
+    for (const char* threads : {"1", "0"}) {
+      CommandResult result = RunCommand("run " + ScenarioPath(name + ".json") +
+                                        " --json --threads " + threads);
+      EXPECT_EQ(result.exit_code, 0) << name << " --threads " << threads;
+      size_t first_diff = std::mismatch(golden.begin(), golden.end(),
+                                        result.stdout_text.begin(),
+                                        result.stdout_text.end())
+                              .first -
+                          golden.begin();
+      EXPECT_TRUE(result.stdout_text == golden)
+          << name << " --threads " << threads << " differs from its golden at byte "
+          << first_diff << " (golden " << golden.size() << " bytes, report "
+          << result.stdout_text.size() << " bytes)";
     }
   }
 }
