@@ -3,105 +3,393 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/core/knob_table.h"
 #include "src/hw/catalog.h"
-#include "src/util/flags.h"
 
 namespace litegpu {
 
-std::string ToString(StudyKind kind) {
-  switch (kind) {
-    case StudyKind::kSearch:
-      return "search";
-    case StudyKind::kFig3a:
-      return "fig3a";
-    case StudyKind::kFig3b:
-      return "fig3b";
-    case StudyKind::kDesign:
-      return "design";
-    case StudyKind::kMcSim:
-      return "mcsim";
-    case StudyKind::kYield:
-      return "yield";
-    case StudyKind::kDerive:
-      return "derive";
-    case StudyKind::kServe:
-      return "serve";
-    case StudyKind::kServeSweep:
-      return "serve-sweep";
-    case StudyKind::kFleetCompare:
-      return "fleet-compare";
-  }
-  return "unknown";
-}
-
-std::optional<StudyKind> ParseStudyKind(const std::string& name) {
-  for (StudyKind kind : {StudyKind::kSearch, StudyKind::kFig3a, StudyKind::kFig3b,
-                         StudyKind::kDesign, StudyKind::kMcSim, StudyKind::kYield,
-                         StudyKind::kDerive, StudyKind::kServe, StudyKind::kServeSweep,
-                         StudyKind::kFleetCompare}) {
-    if (name == ToString(kind)) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
-std::string ToString(ArrivalKind kind) {
-  switch (kind) {
-    case ArrivalKind::kPoisson:
-      return "poisson";
-    case ArrivalKind::kDiurnal:
-      return "diurnal";
-    case ArrivalKind::kOnOff:
-      return "onoff";
-    case ArrivalKind::kTrace:
-      return "trace";
-  }
-  return "unknown";
-}
-
-std::optional<ArrivalKind> ParseArrivalKind(const std::string& name) {
-  for (ArrivalKind kind : {ArrivalKind::kPoisson, ArrivalKind::kDiurnal,
-                           ArrivalKind::kOnOff, ArrivalKind::kTrace}) {
-    if (name == ToString(kind)) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
-std::string ToString(AutoscalerPolicy policy) {
-  switch (policy) {
-    case AutoscalerPolicy::kNone:
-      return "none";
-    case AutoscalerPolicy::kReactive:
-      return "reactive";
-    case AutoscalerPolicy::kPredictive:
-      return "predictive";
-  }
-  return "unknown";
-}
-
-std::optional<AutoscalerPolicy> ParseAutoscalerPolicy(const std::string& name) {
-  for (AutoscalerPolicy policy : {AutoscalerPolicy::kNone, AutoscalerPolicy::kReactive,
-                                  AutoscalerPolicy::kPredictive}) {
-    if (name == ToString(policy)) {
-      return policy;
-    }
-  }
-  return std::nullopt;
-}
+// --- enum names -------------------------------------------------------------
+// One names array per enum this file owns, indexed by the enum's value. It
+// feeds ToString, the Parse* function and the scenario reader's
+// did-you-mean hint.
 
 namespace {
 
-std::optional<YieldModel> ParseYieldModel(const std::string& name) {
-  for (YieldModel model : {YieldModel::kPoisson, YieldModel::kMurphy, YieldModel::kSeeds,
-                           YieldModel::kNegativeBinomial}) {
-    if (name == ToString(model)) {
-      return model;
+constexpr const char* kStudyNames[] = {"search", "fig3a",  "fig3b", "design",      "mcsim",
+                                       "yield",  "derive", "serve", "serve-sweep", "fleet-compare"};
+constexpr const char* kArrivalKindNames[] = {"poisson", "diurnal", "onoff", "trace"};
+constexpr const char* kAutoscalerPolicyNames[] = {"none", "reactive", "predictive"};
+
+template <typename E, size_t N>
+std::optional<E> ParseName(const char* const (&names)[N], const std::string& name) {
+  for (size_t i = 0; i < N; ++i) {
+    if (name == names[i]) {
+      return static_cast<E>(i);
     }
   }
   return std::nullopt;
+}
+
+}  // namespace
+
+std::string ToString(StudyKind kind) { return kStudyNames[static_cast<size_t>(kind)]; }
+
+std::optional<StudyKind> ParseStudyKind(const std::string& name) {
+  return ParseName<StudyKind>(kStudyNames, name);
+}
+
+std::string ToString(ArrivalKind kind) { return kArrivalKindNames[static_cast<size_t>(kind)]; }
+
+std::optional<ArrivalKind> ParseArrivalKind(const std::string& name) {
+  return ParseName<ArrivalKind>(kArrivalKindNames, name);
+}
+
+std::string ToString(AutoscalerPolicy policy) {
+  return kAutoscalerPolicyNames[static_cast<size_t>(policy)];
+}
+
+std::optional<AutoscalerPolicy> ParseAutoscalerPolicy(const std::string& name) {
+  return ParseName<AutoscalerPolicy>(kAutoscalerPolicyNames, name);
+}
+
+// --- knob tables ------------------------------------------------------------
+// One table per knob block (see src/core/knob_table.h). Only the arrival
+// process, a tagged union, needs a codec of its own.
+
+namespace {
+
+using knob::As;
+using knob::AtLeast;
+using knob::AtMost;
+using knob::Block;
+using knob::BlockRow;
+using knob::CheckFields;
+using knob::CheckKeys;
+using knob::EnumNames;
+using knob::EnumRow;
+using knob::Fail;
+using knob::Field;
+using knob::FirstProblem;
+using knob::Fraction;
+using knob::Label;
+using knob::MakeBlock;
+using knob::Namer;
+using knob::NamesOf;
+using knob::Positive;
+using knob::ReadBlock;
+using knob::Row;
+using knob::SameBlock;
+using knob::Splice;
+using knob::Within;
+using knob::WriteBlock;
+
+knob::Bound Instances(int min, const char* note = nullptr) {
+  return Within(min, kMaxPoolInstances, note);
+}
+
+const Block& ArrivalBlock(ArrivalKind kind);
+
+// The arrival process is a tagged union: its `kind` picks the table the rest
+// of the object is read and written with. Every kind's table starts with the
+// kind row, so the Poisson table (that row alone) reads the tag first.
+bool ReadArrival(const Json& obj, const std::string& where, ArrivalProcess& out,
+                 std::string* error) {
+  if (!obj.is_object()) {
+    return Fail(error, where + " must be an object");
+  }
+  return knob::ReadFields(ArrivalBlock(ArrivalKind::kPoisson), obj, where, &out, error) &&
+         ReadBlock(ArrivalBlock(out.kind), obj, where, &out, error);
+}
+
+}  // namespace
+
+namespace knob {
+
+template <>
+struct Ops<ArrivalProcess> {
+  static bool Read(const Field& f, const Json& value, const std::string& where, void* member,
+                   std::string* error) {
+    return ReadArrival(value, Label(where, f.key), As<ArrivalProcess>(member), error);
+  }
+  static Json Write(const Field&, const void* member) {
+    return ArrivalProcessToJson(As<ArrivalProcess>(member));
+  }
+  static bool Same(const Field&, const void* a, const void* b) {
+    ArrivalKind kind = As<ArrivalProcess>(a).kind;
+    return kind == As<ArrivalProcess>(b).kind && SameBlock(ArrivalBlock(kind), a, b);
+  }
+  static std::string Check(const Field&, const void*, const std::string&) { return ""; }
+};
+
+}  // namespace knob
+
+namespace {
+
+// --- the tables ---
+
+const Block& WorkloadBlock() {
+  static const Block block = MakeBlock<WorkloadParams>({
+      Row<&WorkloadParams::prompt_tokens>("prompt_tokens", Positive()),
+      Row<&WorkloadParams::output_tokens>("output_tokens", Positive()),
+      Row<&WorkloadParams::ttft_slo_s>("ttft_slo_s", Positive()),
+      Row<&WorkloadParams::tbt_slo_s>("tbt_slo_s", Positive()),
+      Row<&WorkloadParams::enforce_memory_capacity>("enforce_memory_capacity"),
+  });
+  return block;
+}
+
+const Block& DesignBlock() {
+  static const EnumNames yield_models = NamesOf<YieldModel>("yield_model", 4);
+  static const Block block = MakeBlock<DesignKnobs>({
+      Row<&DesignKnobs::hbm_usd_per_gb>("hbm_usd_per_gb", AtLeast(0)),
+      Row<&DesignKnobs::gpu_price_multiplier>("gpu_price_multiplier", Positive()),
+      Row<&DesignKnobs::amortization_years>("amortization_years", Positive()),
+      EnumRow<&DesignKnobs::yield_model>("yield_model", yield_models),
+  });
+  return block;
+}
+
+const Block& McSimBlock() {
+  static const Block block = MakeBlock<McSimKnobs>({
+      Row<&McSimKnobs::gpus_per_instance>("gpus_per_instance", Positive()),
+      Row<&McSimKnobs::num_instances>("num_instances", Instances(1)),
+      Row<&McSimKnobs::num_spares>("num_spares", AtLeast(0)),
+      Row<&McSimKnobs::sim_years>("sim_years", Positive()),
+      Row<&McSimKnobs::seed>("seed"),
+      Row<&McSimKnobs::num_trials>("num_trials", AtLeast(1)),
+  });
+  return block;
+}
+
+const Block& YieldBlock() {
+  static const Block block = MakeBlock<YieldKnobs>({
+      Row<&YieldKnobs::defect_density_per_cm2>("defect_density_per_cm2", AtLeast(0)),
+      Row<&YieldKnobs::cluster_alpha>("cluster_alpha"),
+      Row<&YieldKnobs::die_area_mm2>("die_area_mm2", Positive()),
+      Row<&YieldKnobs::split>("split", AtLeast(1)),
+  });
+  return block;
+}
+
+const Block& DeriveBlock() {
+  static const Block block = MakeBlock<DeriveKnobs>({
+      Row<&DeriveKnobs::base_gpu>("base_gpu"),
+      Row<&DeriveKnobs::split>("split", AtLeast(1)),
+      Row<&DeriveKnobs::mem_bw_multiplier>("mem_bw_multiplier", Positive()),
+      Row<&DeriveKnobs::net_bw_multiplier>("net_bw_multiplier", Positive()),
+      Row<&DeriveKnobs::overclock>("overclock", Positive()),
+  });
+  return block;
+}
+
+const Block& ArrivalBlock(ArrivalKind kind) {
+  static const EnumNames kinds = NamesOf("arrival kind", kArrivalKindNames);
+  static const Field kind_row = EnumRow<&ArrivalProcess::kind>("kind", kinds);
+  static const Block blocks[] = {
+      MakeBlock<ArrivalProcess>({kind_row}),
+      MakeBlock<ArrivalProcess>({
+          kind_row,
+          Row<&ArrivalProcess::period_s>("period_s", AtLeast(0, "(0 = one period per horizon)")),
+          Row<&ArrivalProcess::multipliers>("multipliers", AtLeast(0)),
+      }),
+      MakeBlock<ArrivalProcess>({
+          kind_row,
+          Row<&ArrivalProcess::on_mean_s>("on_mean_s", Positive()),
+          Row<&ArrivalProcess::off_mean_s>("off_mean_s", Positive()),
+          Row<&ArrivalProcess::on_multiplier>("on_multiplier", AtLeast(0)),
+          Row<&ArrivalProcess::off_multiplier>("off_multiplier", AtLeast(0)),
+      }),
+      MakeBlock<ArrivalProcess>({kind_row, Row<&ArrivalProcess::times_s>("times_s", AtLeast(0))}),
+  };
+  return blocks[static_cast<size_t>(kind)];
+}
+
+const Block& AutoscalerBlock() {
+  static const EnumNames policies = NamesOf("autoscaler policy", kAutoscalerPolicyNames);
+  // Writing an autoscaler block at all means you want one: the policy
+  // defaults to reactive there (an explicit "none" still turns it off).
+  static const Block block = MakeBlock<AutoscalerKnobs>(
+      {
+          EnumRow<&AutoscalerKnobs::policy>("policy", policies),
+          Row<&AutoscalerKnobs::interval_s>("interval_s", Positive()),
+          Row<&AutoscalerKnobs::delay_s>("delay_s", AtLeast(0)),
+          Row<&AutoscalerKnobs::min_prefill_instances>("min_prefill_instances", Instances(1)),
+          Row<&AutoscalerKnobs::max_prefill_instances>("max_prefill_instances",
+                                                       AtMost(kMaxPoolInstances)),
+          Row<&AutoscalerKnobs::min_decode_instances>("min_decode_instances", Instances(1)),
+          Row<&AutoscalerKnobs::max_decode_instances>("max_decode_instances",
+                                                      AtMost(kMaxPoolInstances)),
+          Row<&AutoscalerKnobs::scale_up_backlog_s>("scale_up_backlog_s", Positive()),
+          Row<&AutoscalerKnobs::scale_up_utilization>("scale_up_utilization", Positive()),
+          Row<&AutoscalerKnobs::scale_down_utilization>("scale_down_utilization", AtLeast(0)),
+          Row<&AutoscalerKnobs::forecast_window_s>("forecast_window_s", Positive()),
+          Row<&AutoscalerKnobs::headroom>("headroom", Positive()),
+      },
+      nullptr,
+      [](void* knobs) { As<AutoscalerKnobs>(knobs).policy = AutoscalerPolicy::kReactive; });
+  return block;
+}
+
+// The keys after target_attainment emit only when set, so a faults block
+// from before they existed (and every report echoing one) serializes
+// byte-identically.
+const Block& FaultBlock() {
+  static const EnumNames retry_policies = NamesOf<FaultRetryPolicy>("retry policy", 3);
+  static const Block block = MakeBlock<FaultKnobs>({
+      Row<&FaultKnobs::afr>("afr", AtLeast(0)),
+      Row<&FaultKnobs::floor_afr>("floor_afr", AtLeast(0)),
+      Row<&FaultKnobs::mttr_hours>("mttr_hours", Positive()),
+      Row<&FaultKnobs::spare_activation_minutes>("spare_activation_minutes", AtLeast(0)),
+      Row<&FaultKnobs::hot_spares>("hot_spares", AtLeast(0)),
+      EnumRow<&FaultKnobs::retry_policy>("retry_policy", retry_policies),
+      Row<&FaultKnobs::retry_budget>("retry_budget", AtLeast(0)),
+      Row<&FaultKnobs::target_attainment>("target_attainment", Fraction()),
+      Row<&FaultKnobs::domain_gpus>("domain_gpus", AtLeast(0)).UnlessDefault(),
+      Row<&FaultKnobs::domain_afr>("domain_afr", AtLeast(0)).UnlessDefault(),
+      Row<&FaultKnobs::domain_mttr_hours>("domain_mttr_hours",
+                                          AtLeast(0, "(0 = inherit mttr_hours)"))
+          .UnlessDefault(),
+      Row<&FaultKnobs::degrade_afr>("degrade_afr", AtLeast(0)).UnlessDefault(),
+      Row<&FaultKnobs::degrade_multiplier>("degrade_multiplier", AtLeast(1)).UnlessDefault(),
+      Row<&FaultKnobs::degrade_minutes>("degrade_minutes", AtLeast(0)).UnlessDefault(),
+      Row<&FaultKnobs::shed_queue_depth>("shed_queue_depth", AtLeast(0)).UnlessDefault(),
+      Row<&FaultKnobs::shed_ttft_deadline_s>("shed_ttft_deadline_s", AtLeast(0)).UnlessDefault(),
+  });
+  return block;
+}
+
+const Block& ClassBlock() {
+  static const Block block = MakeBlock<RequestClass>(
+      {
+          Row<&RequestClass::name>("name"),
+          Row<&RequestClass::weight>("weight", Positive()),
+          Row<&RequestClass::prompt_tokens>("prompt_tokens", Positive()),
+          Row<&RequestClass::prompt_sigma>("prompt_sigma", AtLeast(0)),
+          Row<&RequestClass::output_tokens>("output_tokens", Positive()),
+          Row<&RequestClass::output_sigma>("output_sigma", AtLeast(0)),
+          Row<&RequestClass::ttft_slo_s>("ttft_slo_s", AtLeast(0, "(0 = inherit)")),
+          Row<&RequestClass::tbt_slo_s>("tbt_slo_s", AtLeast(0, "(0 = inherit)")),
+      },
+      "class");
+  return block;
+}
+
+// Shared by the serve and sweep blocks. The keys from `arrival` on emit only
+// when set, so scenarios from before they existed serialize byte-identically.
+const Block& ServeCommonBlock() {
+  static const Block block = MakeBlock<ServeCommonKnobs>({
+      Row<&ServeCommonKnobs::horizon_s>("horizon_s", Positive()),
+      Row<&ServeCommonKnobs::prefill_instances>("prefill_instances",
+                                                Instances(0, "(0 = auto-size)")),
+      Row<&ServeCommonKnobs::decode_instances>("decode_instances", Instances(1)),
+      Row<&ServeCommonKnobs::prompt_sigma>("prompt_sigma", AtLeast(0)),
+      Row<&ServeCommonKnobs::output_sigma>("output_sigma", AtLeast(0)),
+      Row<&ServeCommonKnobs::seed>("seed"),
+      Row<&ServeCommonKnobs::arrival>("arrival").UnlessDefault(),
+      BlockRow<&ServeCommonKnobs::autoscaler>("autoscaler", AutoscalerBlock())
+          .When([](const void* knobs) {
+            return As<ServeCommonKnobs>(knobs).autoscaler.enabled();
+          }),
+      BlockRow<&ServeCommonKnobs::faults>("faults", FaultBlock()).UnlessDefault(),
+      BlockRow<&ServeCommonKnobs::classes>("classes", ClassBlock()).UnlessDefault(),
+      Row<&ServeCommonKnobs::shards>("shards", Within(0, 1024)).When([](const void* knobs) {
+        return As<ServeCommonKnobs>(knobs).shards >= 2;
+      }),
+  });
+  return block;
+}
+
+const Block& ServeBlock() {
+  static const Block block = MakeBlock<ServeKnobs>({
+      Row<&ServeKnobs::load>("load"),
+      Row<&ServeKnobs::arrival_rate_per_s>("arrival_rate_per_s", AtLeast(0)),
+      Splice<ServeKnobs, ServeCommonKnobs>(ServeCommonBlock()),
+  });
+  return block;
+}
+
+const Block& SweepBlock() {
+  static const Block block = MakeBlock<ServeSweepKnobs>({
+      Row<&ServeSweepKnobs::loads>("loads").UnlessDefault(),
+      Row<&ServeSweepKnobs::rates>("rates").UnlessDefault(),
+      Row<&ServeSweepKnobs::load_lo>("load_lo"),
+      Row<&ServeSweepKnobs::load_hi>("load_hi"),
+      Row<&ServeSweepKnobs::load_step>("load_step"),
+      Splice<ServeSweepKnobs, ServeCommonKnobs>(ServeCommonBlock()),
+  });
+  return block;
+}
+
+const Block& CandidateBlock() {
+  static const Block block = MakeBlock<FleetCandidate>(
+      {
+          Row<&FleetCandidate::name>("name"),
+          Row<&FleetCandidate::gpu>("gpu"),
+          Row<&FleetCandidate::split>("split", AtLeast(1)),
+          Row<&FleetCandidate::mem_bw_multiplier>("mem_bw_multiplier", Positive()),
+          Row<&FleetCandidate::net_bw_multiplier>("net_bw_multiplier", Positive()),
+          Row<&FleetCandidate::overclock>("overclock", Positive()),
+          Row<&FleetCandidate::prefill_instances>("prefill_instances",
+                                                  Instances(0, "(0 = auto-size)")),
+          Row<&FleetCandidate::decode_instances>("decode_instances", Instances(1)),
+      },
+      "candidate");
+  return block;
+}
+
+const Block& FleetBlock() {
+  static const Block block = MakeBlock<FleetKnobs>({
+      BlockRow<&FleetKnobs::candidates>("candidates", CandidateBlock()),
+      Row<&FleetKnobs::loads>("loads").UnlessDefault(),
+      Row<&FleetKnobs::load_lo>("load_lo"),
+      Row<&FleetKnobs::load_hi>("load_hi"),
+      Row<&FleetKnobs::load_step>("load_step"),
+      Row<&FleetKnobs::horizon_s>("horizon_s", Positive()),
+      Row<&FleetKnobs::prompt_sigma>("prompt_sigma", AtLeast(0)),
+      Row<&FleetKnobs::output_sigma>("output_sigma", AtLeast(0)),
+      Row<&FleetKnobs::seed>("seed"),
+      Row<&FleetKnobs::hbm_usd_per_gb>("hbm_usd_per_gb", AtLeast(0)),
+      Row<&FleetKnobs::gpu_price_multiplier>("gpu_price_multiplier", Positive()),
+      Row<&FleetKnobs::depreciation_months>("depreciation_months", Positive()),
+      Row<&FleetKnobs::electricity_usd_per_kwh>("electricity_usd_per_kwh", AtLeast(0)),
+      Row<&FleetKnobs::gpu_utilization>("gpu_utilization", Fraction()),
+  });
+  return block;
+}
+
+const Block& ExecBlock() {
+  static const Block block = MakeBlock<ExecPolicy>({Row<&ExecPolicy::threads>("threads")});
+  return block;
+}
+
+template <StudyKind kStudy>
+bool StudyIs(const void* scenario) {
+  return As<Scenario>(scenario).study == kStudy;
+}
+
+// The top level. Each study-specific block emits only for its own study.
+const Block& ScenarioBlock() {
+  static const EnumNames studies = NamesOf("study", kStudyNames);
+  static const EnumNames kv_policies = NamesOf<KvShardPolicy>("kv_policy", 2);
+  static const Block block = MakeBlock<Scenario>({
+      Row<&Scenario::name>("name").UnlessDefault(),
+      EnumRow<&Scenario::study>("study", studies),
+      Row<&Scenario::models>("models").UnlessDefault(),
+      Row<&Scenario::gpus>("gpus").UnlessDefault(),
+      Row<&Scenario::baseline_gpu>("baseline_gpu"),
+      BlockRow<&Scenario::workload>("workload", WorkloadBlock()),
+      EnumRow<&Scenario::kv_policy>("kv_policy", kv_policies),
+      Row<&Scenario::max_batch>("max_batch", AtLeast(1)),
+      BlockRow<&Scenario::design>("design", DesignBlock()).When(StudyIs<StudyKind::kDesign>),
+      BlockRow<&Scenario::mcsim>("mcsim", McSimBlock()).When(StudyIs<StudyKind::kMcSim>),
+      BlockRow<&Scenario::yield>("yield", YieldBlock()).When(StudyIs<StudyKind::kYield>),
+      BlockRow<&Scenario::derive>("derive", DeriveBlock()).When(StudyIs<StudyKind::kDerive>),
+      BlockRow<&Scenario::serve>("serve", ServeBlock()).When(StudyIs<StudyKind::kServe>),
+      BlockRow<&Scenario::sweep>("sweep", SweepBlock()).When(StudyIs<StudyKind::kServeSweep>),
+      BlockRow<&Scenario::fleet>("fleet", FleetBlock()).When(StudyIs<StudyKind::kFleetCompare>),
+      BlockRow<&Scenario::exec>("exec", ExecBlock()),
+  });
+  return block;
 }
 
 bool UsesPerfSearch(StudyKind study) {
@@ -156,91 +444,69 @@ ClassMixSummary SummarizeClassMix(const std::vector<RequestClass>& classes) {
   return mix;
 }
 
+// --- validation: the table bounds, then the cross-field rules ---------------
+
 std::string ValidateRequestClasses(const std::vector<RequestClass>& classes,
                                    const std::string& where) {
+  const Namer<RequestClass> name(ClassBlock(), "");
+  const std::string list = Namer<ServeCommonKnobs>(ServeCommonBlock(), where)
+                               .Path(&ServeCommonKnobs::classes);
   for (size_t i = 0; i < classes.size(); ++i) {
     const RequestClass& cls = classes[i];
-    std::string label = where + ".classes[" + std::to_string(i) + "]";
+    std::string label = list + "[" + std::to_string(i) + "]";
     if (cls.name.empty()) {
-      return label + " needs a non-empty name";
+      return label + " needs a non-empty " + name.Key(&RequestClass::name);
     }
     for (size_t j = 0; j < i; ++j) {
       if (classes[j].name == cls.name) {
-        return where + ".classes has duplicate name '" + cls.name + "'";
+        return list + " has duplicate " + name.Key(&RequestClass::name) + " '" + cls.name + "'";
       }
     }
-    if (!(cls.weight > 0.0) || !std::isfinite(cls.weight)) {
-      return label + " ('" + cls.name + "') weight must be positive and finite";
-    }
-    if (cls.prompt_tokens <= 0 || cls.output_tokens <= 0) {
-      return label + " ('" + cls.name + "') prompt/output tokens must be positive";
-    }
-    if (cls.prompt_sigma < 0.0 || cls.output_sigma < 0.0 ||
-        !std::isfinite(cls.prompt_sigma) || !std::isfinite(cls.output_sigma)) {
-      return label + " ('" + cls.name + "') sigmas must be >= 0 and finite";
-    }
-    if (cls.ttft_slo_s < 0.0 || cls.tbt_slo_s < 0.0 || !std::isfinite(cls.ttft_slo_s) ||
+    // The two SLOs share one message: 0 inherits the workload's SLO.
+    if (!(cls.ttft_slo_s >= 0.0) || !(cls.tbt_slo_s >= 0.0) || !std::isfinite(cls.ttft_slo_s) ||
         !std::isfinite(cls.tbt_slo_s)) {
       return label + " ('" + cls.name + "') SLOs must be >= 0 (0 = inherit) and finite";
+    }
+    if (std::string problem = CheckFields(ClassBlock(), &cls, label); !problem.empty()) {
+      return problem;
     }
   }
   return "";
 }
 
 std::string ValidateArrivalProcess(const ArrivalProcess& process, const std::string& where) {
-  const std::string& label = where;
+  const Block& block = ArrivalBlock(process.kind);
+  if (std::string problem = CheckFields(block, &process, where); !problem.empty()) {
+    return problem;
+  }
+  const Namer<ArrivalProcess> name(block, where);
   switch (process.kind) {
     case ArrivalKind::kPoisson:
       return "";
-    case ArrivalKind::kDiurnal: {
+    case ArrivalKind::kDiurnal:
       if (process.multipliers.empty()) {
-        return label + ".multipliers must be a non-empty rate curve";
+        return name.Path(&ArrivalProcess::multipliers) + " must be a non-empty rate curve";
       }
-      double peak = 0.0;
-      for (double m : process.multipliers) {
-        if (!(m >= 0.0) || !std::isfinite(m)) {
-          return label + ".multipliers must be >= 0 and finite";
-        }
-        peak = std::max(peak, m);
-      }
-      if (peak <= 0.0) {
-        return label + ".multipliers must contain at least one positive point";
-      }
-      if (process.period_s < 0.0 || !std::isfinite(process.period_s)) {
-        return label + ".period_s must be >= 0 (0 = one period per horizon) and finite";
+      if (*std::max_element(process.multipliers.begin(), process.multipliers.end()) <= 0.0) {
+        return name.Path(&ArrivalProcess::multipliers) +
+               " must contain at least one positive point";
       }
       return "";
-    }
-    case ArrivalKind::kOnOff: {
-      if (!(process.on_mean_s > 0.0) || !std::isfinite(process.on_mean_s) ||
-          !(process.off_mean_s > 0.0) || !std::isfinite(process.off_mean_s)) {
-        return label + " phase means (on_mean_s/off_mean_s) must be positive and finite";
-      }
-      if (!(process.on_multiplier >= 0.0) || !std::isfinite(process.on_multiplier) ||
-          !(process.off_multiplier >= 0.0) || !std::isfinite(process.off_multiplier)) {
-        return label + " phase multipliers must be >= 0 and finite";
-      }
+    case ArrivalKind::kOnOff:
       if (process.on_multiplier <= 0.0 && process.off_multiplier <= 0.0) {
-        return label + " needs a positive on_multiplier or off_multiplier";
+        return where + " needs a positive " + name.Key(&ArrivalProcess::on_multiplier) + " or " +
+               name.Key(&ArrivalProcess::off_multiplier);
       }
       return "";
-    }
-    case ArrivalKind::kTrace: {
+    case ArrivalKind::kTrace:
       if (process.times_s.empty()) {
-        return label + ".times_s must be a non-empty ascending list of arrival times";
+        return name.Path(&ArrivalProcess::times_s) +
+               " must be a non-empty ascending list of arrival times";
       }
-      double prev = 0.0;
-      for (double t : process.times_s) {
-        if (!(t >= 0.0) || !std::isfinite(t)) {
-          return label + ".times_s must be >= 0 and finite";
-        }
-        if (t < prev) {
-          return label + ".times_s must be ascending";
-        }
-        prev = t;
+      if (!std::is_sorted(process.times_s.begin(), process.times_s.end())) {
+        return name.Path(&ArrivalProcess::times_s) + " must be ascending";
       }
       return "";
-    }
   }
   return "";
 }
@@ -249,37 +515,17 @@ std::string ValidateAutoscalerKnobs(const AutoscalerKnobs& knobs, const std::str
   if (!knobs.enabled()) {
     return "";
   }
-  const std::string& label = where;
-  if (!(knobs.interval_s > 0.0) || !std::isfinite(knobs.interval_s)) {
-    return label + ".interval_s must be positive and finite";
-  }
-  if (knobs.delay_s < 0.0 || !std::isfinite(knobs.delay_s)) {
-    return label + ".delay_s must be >= 0 and finite";
-  }
-  if (knobs.min_prefill_instances < 1 || knobs.min_decode_instances < 1) {
-    return label + " min instance counts must be >= 1";
+  const Namer<AutoscalerKnobs> name(AutoscalerBlock(), where);
+  if (std::string problem = CheckFields(AutoscalerBlock(), &knobs, where); !problem.empty()) {
+    return problem;
   }
   if (knobs.max_prefill_instances < knobs.min_prefill_instances ||
       knobs.max_decode_instances < knobs.min_decode_instances) {
-    return label + " instance bounds need max >= min";
-  }
-  if (!(knobs.scale_up_backlog_s > 0.0) || !std::isfinite(knobs.scale_up_backlog_s)) {
-    return label + ".scale_up_backlog_s must be positive and finite";
-  }
-  if (!(knobs.scale_up_utilization > 0.0) || !std::isfinite(knobs.scale_up_utilization)) {
-    return label + ".scale_up_utilization must be positive and finite";
-  }
-  if (knobs.scale_down_utilization < 0.0 || !std::isfinite(knobs.scale_down_utilization)) {
-    return label + ".scale_down_utilization must be >= 0 and finite";
+    return where + " instance bounds need max >= min";
   }
   if (knobs.scale_down_utilization >= knobs.scale_up_utilization) {
-    return label + ".scale_down_utilization must be below scale_up_utilization";
-  }
-  if (!(knobs.forecast_window_s > 0.0) || !std::isfinite(knobs.forecast_window_s)) {
-    return label + ".forecast_window_s must be positive and finite";
-  }
-  if (!(knobs.headroom > 0.0) || !std::isfinite(knobs.headroom)) {
-    return label + ".headroom must be positive and finite";
+    return name.Path(&AutoscalerKnobs::scale_down_utilization) + " must be below " +
+           name.Key(&AutoscalerKnobs::scale_up_utilization);
   }
   return "";
 }
@@ -287,132 +533,99 @@ std::string ValidateAutoscalerKnobs(const AutoscalerKnobs& knobs, const std::str
 std::string ValidateFaultKnobs(const FaultKnobs& knobs, const std::string& where) {
   // Validated even at afr 0: a disabled block with a nonsense MTTR is a
   // latent mistake that would only surface when someone turns faults on.
-  if (knobs.afr < 0.0 || !std::isfinite(knobs.afr)) {
-    return where + ".afr must be >= 0 and finite";
+  const Namer<FaultKnobs> name(FaultBlock(), where);
+  if (std::string problem = CheckFields(FaultBlock(), &knobs, where); !problem.empty()) {
+    return problem;
   }
-  if (knobs.floor_afr < 0.0 || !std::isfinite(knobs.floor_afr)) {
-    return where + ".floor_afr must be >= 0 and finite";
-  }
-  if (!(knobs.mttr_hours > 0.0) || !std::isfinite(knobs.mttr_hours)) {
-    return where + ".mttr_hours must be positive and finite";
-  }
-  if (knobs.spare_activation_minutes < 0.0 ||
-      !std::isfinite(knobs.spare_activation_minutes)) {
-    return where + ".spare_activation_minutes must be >= 0 and finite";
-  }
-  if (knobs.hot_spares < 0) {
-    return where + ".hot_spares must be >= 0";
-  }
-  if (knobs.hot_spares > 0 &&
-      knobs.spare_activation_minutes >= knobs.mttr_hours * 60.0) {
+  if (knobs.hot_spares > 0 && knobs.spare_activation_minutes >= knobs.mttr_hours * 60.0) {
     // Activation at or beyond the repair time silently degenerates to the
     // no-spare path (the spare never saves any downtime); reject it as a
     // latent mistake rather than letting the knob read as a no-op.
-    return where + ".spare_activation_minutes must be < mttr_hours * 60 "
-                   "(a slower-than-repair spare never activates)";
+    return name.Path(&FaultKnobs::spare_activation_minutes) + " must be < " +
+           name.Key(&FaultKnobs::mttr_hours) +
+           " * 60 (a slower-than-repair spare never activates)";
   }
-  if (knobs.retry_budget < 0) {
-    return where + ".retry_budget must be >= 0";
-  }
-  if (knobs.retry_policy == FaultRetryPolicy::kRetryWithBudget &&
-      knobs.retry_budget < 1) {
-    return where + ".retry_budget must be >= 1 under retry_with_budget";
-  }
-  if (!(knobs.target_attainment > 0.0) || knobs.target_attainment > 1.0) {
-    return where + ".target_attainment must be in (0, 1]";
-  }
-  if (knobs.domain_gpus < 0.0 || !std::isfinite(knobs.domain_gpus)) {
-    return where + ".domain_gpus must be >= 0 and finite";
-  }
-  if (knobs.domain_afr < 0.0 || !std::isfinite(knobs.domain_afr)) {
-    return where + ".domain_afr must be >= 0 and finite";
+  if (knobs.retry_policy == FaultRetryPolicy::kRetryWithBudget && knobs.retry_budget < 1) {
+    return name.Path(&FaultKnobs::retry_budget) + " must be >= 1 under " +
+           ToString(FaultRetryPolicy::kRetryWithBudget);
   }
   if (knobs.domain_afr > 0.0 && !(knobs.domain_gpus > 0.0)) {
-    return where + ".domain_afr requires domain_gpus > 0 (the domain size)";
-  }
-  if (knobs.domain_mttr_hours < 0.0 || !std::isfinite(knobs.domain_mttr_hours)) {
-    return where + ".domain_mttr_hours must be >= 0 and finite (0 = inherit mttr_hours)";
-  }
-  if (knobs.degrade_afr < 0.0 || !std::isfinite(knobs.degrade_afr)) {
-    return where + ".degrade_afr must be >= 0 and finite";
-  }
-  if (knobs.degrade_multiplier < 1.0 || !std::isfinite(knobs.degrade_multiplier)) {
-    return where + ".degrade_multiplier must be >= 1 and finite";
-  }
-  if (knobs.degrade_minutes < 0.0 || !std::isfinite(knobs.degrade_minutes)) {
-    return where + ".degrade_minutes must be >= 0 and finite";
+    return name.Path(&FaultKnobs::domain_afr) + " requires " + name.Key(&FaultKnobs::domain_gpus) +
+           " > 0 (the domain size)";
   }
   if (knobs.degrade_afr > 0.0 &&
       (!(knobs.degrade_multiplier > 1.0) || !(knobs.degrade_minutes > 0.0))) {
-    return where + ".degrade_afr requires degrade_multiplier > 1 and degrade_minutes > 0";
-  }
-  if (knobs.shed_queue_depth < 0) {
-    return where + ".shed_queue_depth must be >= 0";
-  }
-  if (knobs.shed_ttft_deadline_s < 0.0 || !std::isfinite(knobs.shed_ttft_deadline_s)) {
-    return where + ".shed_ttft_deadline_s must be >= 0 and finite";
+    return name.Path(&FaultKnobs::degrade_afr) + " requires " +
+           name.Key(&FaultKnobs::degrade_multiplier) + " > 1 and " +
+           name.Key(&FaultKnobs::degrade_minutes) + " > 0";
   }
   return "";
 }
 
 namespace {
 
-// The per-point knobs shared by the serve and sweep blocks validate once,
-// here — `where` picks the block name in messages, keeping them identical
-// to the pre-unification wording.
-std::string ValidateServeCommonKnobs(const ServeCommonKnobs& knobs,
-                                     const std::string& where) {
-  // NaN fails the > comparison, so non-finite horizons are rejected too
-  // (a NaN/inf horizon would spin the workload generator forever).
-  if (!(knobs.horizon_s > 0.0) || !std::isfinite(knobs.horizon_s)) {
-    return where + ".horizon_s must be positive and finite";
-  }
-  if (knobs.prefill_instances < 0) {
-    return where + ".prefill_instances must be >= 0 (0 = auto-size)";
-  }
-  if (knobs.decode_instances < 1) {
-    return where + ".decode_instances must be >= 1";
-  }
-  if (knobs.prompt_sigma < 0.0 || knobs.output_sigma < 0.0) {
-    return where + " length sigmas must be >= 0";
-  }
-  if (std::string problem = ValidateArrivalProcess(knobs.arrival, where + ".arrival");
-      !problem.empty()) {
+// The nested blocks and cross-field rules of the per-point knobs the serve
+// and sweep blocks share; their scalar rows are checked with the block.
+std::string ValidateServeCommonKnobs(const ServeCommonKnobs& knobs, const std::string& where) {
+  const Namer<ServeCommonKnobs> name(ServeCommonBlock(), where);
+  std::string problem =
+      FirstProblem({ValidateArrivalProcess(knobs.arrival, name.Path(&ServeCommonKnobs::arrival)),
+                    ValidateAutoscalerKnobs(knobs.autoscaler,
+                                            name.Path(&ServeCommonKnobs::autoscaler)),
+                    ValidateFaultKnobs(knobs.faults, name.Path(&ServeCommonKnobs::faults))});
+  if (!problem.empty()) {
     return problem;
-  }
-  if (std::string problem =
-          ValidateAutoscalerKnobs(knobs.autoscaler, where + ".autoscaler");
-      !problem.empty()) {
-    return problem;
-  }
-  if (std::string problem = ValidateFaultKnobs(knobs.faults, where + ".faults");
-      !problem.empty()) {
-    return problem;
-  }
-  if (knobs.shards < 0 || knobs.shards > 1024) {
-    return where + ".shards must be in [0, 1024]";
   }
   if (knobs.shards >= 2) {
     // Shards are independent replications of the same stationary process;
     // anything whose behavior depends on absolute time across the horizon
     // would be distorted by splitting it.
+    const std::string shards = name.Path(&ServeCommonKnobs::shards) + " requires ";
     if (knobs.autoscaler.enabled()) {
-      return where + ".shards requires the autoscaler to be disabled";
+      return shards + "the " + name.Key(&ServeCommonKnobs::autoscaler) + " to be disabled";
     }
     if (knobs.faults.enabled()) {
-      return where + ".shards requires faults to be disabled";
+      return shards + name.Key(&ServeCommonKnobs::faults) + " to be disabled";
     }
     if (knobs.faults.shed_queue_depth > 0 || knobs.faults.shed_ttft_deadline_s > 0.0) {
       // Shedding reacts to the instantaneous queue depth, which splitting
       // the horizon would reset at every shard boundary.
-      return where + ".shards requires load shedding to be disabled";
+      return shards + "load shedding to be disabled";
     }
-    if (knobs.arrival.kind == ArrivalKind::kDiurnal ||
-        knobs.arrival.kind == ArrivalKind::kTrace) {
-      return where + ".shards requires a stationary arrival process (poisson or onoff)";
+    if (knobs.arrival.kind == ArrivalKind::kDiurnal || knobs.arrival.kind == ArrivalKind::kTrace) {
+      return shards + "a stationary arrival process (" + ToString(ArrivalKind::kPoisson) + " or " +
+             ToString(ArrivalKind::kOnOff) + ")";
     }
   }
   return ValidateRequestClasses(knobs.classes, where);
+}
+
+// Load grids: explicit points must be positive; a range needs a positive
+// step and must expand to at least one point.
+std::string ValidateGrid(const std::vector<double>& grid, bool explicit_points, double step,
+                         const std::string& where, const std::string& step_key,
+                         const std::string& grid_spelling) {
+  if (!explicit_points && step <= 0.0) {
+    return Label(where, step_key) + " must be positive";
+  }
+  if (grid.empty()) {
+    return where + " grid is empty (check " + grid_spelling + ")";
+  }
+  for (double point : grid) {
+    // NaN fails the comparison, so it is rejected here too.
+    if (!(point > 0.0) || !std::isfinite(point)) {
+      return where + " grid points must be positive and finite";
+    }
+  }
+  return "";
+}
+
+// `study_name` reads "study '<kind>'".
+std::string ExactlyOne(const std::string& study_name, const char* what, size_t count) {
+  if (count == 1) {
+    return "";
+  }
+  return study_name + " simulates exactly one " + what + " (got " + std::to_string(count) + ")";
 }
 
 }  // namespace
@@ -507,1297 +720,264 @@ SearchOptions Scenario::MakeSearchOptions() const {
 }
 
 std::string Scenario::Validate() const {
+  const Namer<Scenario> name(ScenarioBlock(), "");
+  const std::string study_name =
+      name.Key(&Scenario::study) + " '" + litegpu::ToString(study) + "'";
   if (UsesPerfSearch(study)) {
-    if (workload.prompt_tokens <= 0) {
-      return "workload.prompt_tokens must be positive";
+    std::string problem =
+        FirstProblem({CheckFields(WorkloadBlock(), &workload, name.Key(&Scenario::workload)),
+                      CheckFields(ScenarioBlock(), this, "")});
+    if (!problem.empty()) {
+      return problem;
     }
-    if (workload.output_tokens <= 0) {
-      return "workload.output_tokens must be positive";
-    }
-    if (workload.ttft_slo_s <= 0.0) {
-      return "workload.ttft_slo_s must be positive";
-    }
-    if (workload.tbt_slo_s <= 0.0) {
-      return "workload.tbt_slo_s must be positive";
-    }
-    if (max_batch < 1) {
-      return "max_batch must be >= 1";
-    }
-    for (const std::string& name : ResolvedModels()) {
-      if (!FindModel(name)) {
-        return "unknown model '" + name + "' (try `litegpu list`)";
+    for (const std::string& model : ResolvedModels()) {
+      if (!FindModel(model)) {
+        return "unknown model '" + model + "' (try `litegpu list`)";
       }
     }
   }
+  const Namer<FleetKnobs> fleet_name(FleetBlock(), name.Key(&Scenario::fleet));
   if (study == StudyKind::kYield || study == StudyKind::kDerive) {
     // These studies read their own knob blocks; accepting models/gpus here
     // would silently ignore them (derive targets derive.base_gpu).
     if (!models.empty() || !gpus.empty()) {
-      return "study '" + litegpu::ToString(study) + "' does not take models/gpus lists";
+      return study_name + " does not take " + name.Key(&Scenario::models) + "/" +
+             name.Key(&Scenario::gpus) + " lists";
     }
   } else {
     std::vector<std::string> resolved = ResolvedGpus();
     if (resolved.empty()) {
       return study == StudyKind::kFleetCompare
-                 ? "fleet.candidates must be non-empty"
+                 ? fleet_name.Path(&FleetKnobs::candidates) + " must be non-empty"
                  : "scenario needs at least one GPU";
     }
-    for (const std::string& name : resolved) {
-      if (!FindGpu(name)) {
-        return "unknown GPU '" + name + "' (try `litegpu list`)";
+    for (const std::string& gpu : resolved) {
+      if (!FindGpu(gpu)) {
+        return "unknown GPU '" + gpu + "' (try `litegpu list`)";
       }
     }
     if ((study == StudyKind::kFig3a || study == StudyKind::kFig3b) &&
         std::find(resolved.begin(), resolved.end(), baseline_gpu) == resolved.end()) {
-      return "baseline_gpu '" + baseline_gpu + "' is not in the scenario's GPU list";
+      return name.Key(&Scenario::baseline_gpu) + " '" + baseline_gpu +
+             "' is not in the scenario's GPU list";
     }
   }
   switch (study) {
     case StudyKind::kMcSim:
       if (!models.empty()) {
-        return "study 'mcsim' does not take a models list";
+        return study_name + " does not take a " + name.Key(&Scenario::models) + " list";
       }
-      if (gpus.size() > 1) {
-        return "study 'mcsim' simulates exactly one GPU type (got " +
-               std::to_string(gpus.size()) + ")";
-      }
-      if (mcsim.gpus_per_instance < 1 || mcsim.num_instances < 1) {
-        return "mcsim instance shape must be positive";
-      }
-      if (mcsim.num_spares < 0) {
-        return "mcsim.num_spares must be >= 0";
-      }
-      if (mcsim.sim_years <= 0.0) {
-        return "mcsim.sim_years must be positive";
-      }
-      if (mcsim.num_trials < 1) {
-        return "mcsim.num_trials must be >= 1";
-      }
-      break;
+      return FirstProblem({ExactlyOne(study_name, "GPU type", ResolvedGpus().size()),
+                           CheckFields(McSimBlock(), &mcsim, name.Key(&Scenario::mcsim))});
     case StudyKind::kYield:
-      if (yield.die_area_mm2 <= 0.0) {
-        return "yield.die_area_mm2 must be positive";
-      }
-      if (yield.defect_density_per_cm2 < 0.0) {
-        return "yield.defect_density_per_cm2 must be >= 0";
-      }
-      if (yield.split < 1) {
-        return "yield.split must be >= 1";
-      }
-      break;
-    case StudyKind::kDerive:
+      return CheckFields(YieldBlock(), &yield, name.Key(&Scenario::yield));
+    case StudyKind::kDerive: {
+      const Namer<DeriveKnobs> derive_name(DeriveBlock(), name.Key(&Scenario::derive));
       if (!FindGpu(derive.base_gpu)) {
-        return "unknown derive.base_gpu '" + derive.base_gpu + "'";
+        return "unknown " + derive_name.Path(&DeriveKnobs::base_gpu) + " '" + derive.base_gpu +
+               "'";
       }
-      if (derive.split < 1) {
-        return "derive.split must be >= 1";
-      }
-      if (derive.mem_bw_multiplier <= 0.0 || derive.net_bw_multiplier <= 0.0 ||
-          derive.overclock <= 0.0) {
-        return "derive multipliers must be positive";
-      }
-      break;
+      return CheckFields(DeriveBlock(), &derive, derive_name.where());
+    }
     case StudyKind::kDesign:
-      if (design.hbm_usd_per_gb < 0.0 || design.gpu_price_multiplier <= 0.0 ||
-          design.amortization_years <= 0.0) {
-        return "design economics knobs must be positive";
-      }
-      break;
-    case StudyKind::kServe:
-      if (ResolvedModels().size() != 1) {
-        return "study 'serve' simulates exactly one model (got " +
-               std::to_string(ResolvedModels().size()) + ")";
-      }
-      if (ResolvedGpus().size() != 1) {
-        return "study 'serve' simulates exactly one GPU type (got " +
-               std::to_string(ResolvedGpus().size()) + ")";
-      }
-      if (serve.load <= 0.0 && serve.arrival_rate_per_s <= 0.0 &&
-          serve.arrival.kind != ArrivalKind::kTrace) {
-        // A trace needs neither: the recorded times fix the offered rate.
-        return "serve needs a positive load fraction or arrival_rate_per_s";
-      }
-      if (serve.arrival_rate_per_s < 0.0) {
-        return "serve.arrival_rate_per_s must be >= 0";
-      }
-      if (!std::isfinite(serve.load) || !std::isfinite(serve.arrival_rate_per_s)) {
-        return "serve load/arrival_rate_per_s must be finite";
-      }
-      if (std::string problem = ValidateServeCommonKnobs(serve, "serve");
-          !problem.empty()) {
-        return problem;
-      }
-      break;
+      return CheckFields(DesignBlock(), &design, name.Key(&Scenario::design));
+    case StudyKind::kServe: {
+      const Namer<ServeKnobs> serve_name(ServeBlock(), name.Key(&Scenario::serve));
+      // A trace needs neither a load nor a rate: its times fix the offered rate.
+      bool no_rate = serve.load <= 0.0 && serve.arrival_rate_per_s <= 0.0 &&
+                     serve.arrival.kind != ArrivalKind::kTrace;
+      return FirstProblem({ExactlyOne(study_name, "model", ResolvedModels().size()),
+                           ExactlyOne(study_name, "GPU type", ResolvedGpus().size()),
+                           no_rate ? serve_name.where() + " needs a positive " +
+                                         serve_name.Key(&ServeKnobs::load) + " fraction or " +
+                                         serve_name.Key(&ServeKnobs::arrival_rate_per_s)
+                                   : "",
+                           CheckFields(ServeBlock(), &serve, serve_name.where()),
+                           ValidateServeCommonKnobs(serve, serve_name.where())});
+    }
     case StudyKind::kServeSweep: {
-      if (ResolvedModels().size() != 1) {
-        return "study 'serve-sweep' simulates exactly one model (got " +
-               std::to_string(ResolvedModels().size()) + ")";
-      }
-      if (ResolvedGpus().size() != 1) {
-        return "study 'serve-sweep' simulates exactly one GPU type (got " +
-               std::to_string(ResolvedGpus().size()) + ")";
-      }
-      if (sweep.loads.empty() && sweep.rates.empty() && sweep.load_step <= 0.0) {
-        return "sweep.load_step must be positive";
-      }
-      std::vector<double> grid = sweep.GridPoints();
-      if (grid.empty()) {
-        return "sweep grid is empty (check loads/rates or load_lo:load_hi:load_step)";
-      }
-      for (double point : grid) {
-        // NaN fails both comparisons, so it is rejected here too.
-        if (!(point > 0.0) || !std::isfinite(point)) {
-          return "sweep grid points must be positive and finite";
-        }
+      const Namer<ServeSweepKnobs> sweep_name(SweepBlock(), name.Key(&Scenario::sweep));
+      std::string problem = FirstProblem(
+          {ExactlyOne(study_name, "model", ResolvedModels().size()),
+           ExactlyOne(study_name, "GPU type", ResolvedGpus().size()),
+           CheckFields(SweepBlock(), &sweep, sweep_name.where()),
+           ValidateGrid(sweep.GridPoints(), !sweep.loads.empty() || !sweep.rates.empty(),
+                        sweep.load_step, sweep_name.where(),
+                        sweep_name.Key(&ServeSweepKnobs::load_step),
+                        sweep_name.Key(&ServeSweepKnobs::loads) + "/" +
+                            sweep_name.Key(&ServeSweepKnobs::rates) + " or " +
+                            sweep_name.Key(&ServeSweepKnobs::load_lo) + ":" +
+                            sweep_name.Key(&ServeSweepKnobs::load_hi) + ":" +
+                            sweep_name.Key(&ServeSweepKnobs::load_step))});
+      if (!problem.empty()) {
+        return problem;
       }
       if (sweep.arrival.kind == ArrivalKind::kTrace) {
         // The trace fixes the offered rate, so there is nothing to sweep.
-        return "sweep.arrival.kind 'trace' is not supported (use study 'serve')";
+        return Namer<ArrivalProcess>(ArrivalBlock(ArrivalKind::kTrace),
+                                     sweep_name.Path(&ServeSweepKnobs::arrival))
+                   .Path(&ArrivalProcess::kind) +
+               " '" + ToString(ArrivalKind::kTrace) + "' is not supported (use " +
+               name.Key(&Scenario::study) + " '" + ToString(StudyKind::kServe) + "')";
       }
-      if (std::string problem = ValidateServeCommonKnobs(sweep, "sweep");
+      return ValidateServeCommonKnobs(sweep, sweep_name.where());
+    }
+    case StudyKind::kFleetCompare: {
+      if (std::string problem = ExactlyOne(study_name, "model", ResolvedModels().size());
           !problem.empty()) {
         return problem;
       }
-      break;
-    }
-    case StudyKind::kFleetCompare: {
-      if (ResolvedModels().size() != 1) {
-        return "study 'fleet-compare' simulates exactly one model (got " +
-               std::to_string(ResolvedModels().size()) + ")";
-      }
       if (!gpus.empty()) {
-        return "study 'fleet-compare' takes its GPUs from fleet.candidates "
-               "(drop the gpus list)";
+        return study_name + " takes its GPUs from " + fleet_name.Path(&FleetKnobs::candidates) +
+               " (drop the " + name.Key(&Scenario::gpus) + " list)";
       }
-      std::vector<std::string> seen;
+      const Namer<FleetCandidate> candidate_name(CandidateBlock(), "");
       for (size_t i = 0; i < fleet.candidates.size(); ++i) {
         const FleetCandidate& c = fleet.candidates[i];
-        std::string label = "fleet.candidates[" + std::to_string(i) + "]";
+        std::string label =
+            fleet_name.Path(&FleetKnobs::candidates) + "[" + std::to_string(i) + "]";
         if (c.name.empty()) {
-          return label + ".name must be non-empty";
+          return Label(label, candidate_name.Key(&FleetCandidate::name)) + " must be non-empty";
         }
-        if (std::find(seen.begin(), seen.end(), c.name) != seen.end()) {
-          // Names seed the per-candidate RNG streams, so duplicates would
-          // silently alias two candidates onto the same points.
-          return "duplicate fleet candidate name '" + c.name + "'";
+        for (size_t j = 0; j < i; ++j) {
+          if (fleet.candidates[j].name == c.name) {
+            // Names seed the per-candidate RNG streams, so duplicates would
+            // silently alias two candidates onto the same points.
+            return "duplicate " + fleet_name.where() + " candidate " +
+                   candidate_name.Key(&FleetCandidate::name) + " '" + c.name + "'";
+          }
         }
-        seen.push_back(c.name);
-        if (c.split < 1) {
-          return label + ".split must be >= 1";
-        }
-        if (c.mem_bw_multiplier <= 0.0 || c.net_bw_multiplier <= 0.0 ||
-            c.overclock <= 0.0) {
-          return label + " multipliers must be positive";
-        }
-        if (c.prefill_instances < 0) {
-          return label + ".prefill_instances must be >= 0";
-        }
-        if (c.decode_instances < 1) {
-          return label + ".decode_instances must be >= 1";
+        if (std::string problem = CheckFields(CandidateBlock(), &c, label); !problem.empty()) {
+          return problem;
         }
       }
-      if (fleet.loads.empty() && fleet.load_step <= 0.0) {
-        return "fleet.load_step must be positive";
-      }
-      std::vector<double> grid = fleet.GridPoints();
-      if (grid.empty()) {
-        return "fleet grid is empty (check loads or load_lo:load_hi:load_step)";
-      }
-      for (double point : grid) {
-        if (!(point > 0.0) || !std::isfinite(point)) {
-          return "fleet grid points must be positive and finite";
-        }
-      }
-      if (fleet.horizon_s <= 0.0) {
-        return "fleet.horizon_s must be positive";
-      }
-      if (fleet.prompt_sigma < 0.0 || fleet.output_sigma < 0.0) {
-        return "fleet sigmas must be >= 0";
-      }
-      if (fleet.hbm_usd_per_gb < 0.0 || fleet.gpu_price_multiplier <= 0.0) {
-        return "fleet economics knobs must be positive";
-      }
-      if (fleet.depreciation_months <= 0.0) {
-        return "fleet.depreciation_months must be positive";
-      }
-      if (fleet.electricity_usd_per_kwh < 0.0) {
-        return "fleet.electricity_usd_per_kwh must be >= 0";
-      }
-      if (fleet.gpu_utilization <= 0.0 || fleet.gpu_utilization > 1.0) {
-        return "fleet.gpu_utilization must be in (0, 1]";
-      }
-      break;
+      return FirstProblem(
+          {CheckFields(FleetBlock(), &fleet, fleet_name.where()),
+           ValidateGrid(fleet.GridPoints(), !fleet.loads.empty(), fleet.load_step,
+                        fleet_name.where(), fleet_name.Key(&FleetKnobs::load_step),
+                        fleet_name.Key(&FleetKnobs::loads) + " or " +
+                            fleet_name.Key(&FleetKnobs::load_lo) + ":" +
+                            fleet_name.Key(&FleetKnobs::load_hi) + ":" +
+                            fleet_name.Key(&FleetKnobs::load_step))});
     }
     default:
-      break;
+      return "";
   }
-  return "";
 }
 
 // --- JSON serialization -----------------------------------------------------
 
-// The serve and sweep blocks (and the reports' config echo) share this.
-// Only invoked for non-empty mixes, so classless scenarios serialize
-// byte-identically to the pre-class format.
 Json RequestClassesToJson(const std::vector<RequestClass>& classes) {
   Json arr = Json::Array();
   for (const RequestClass& cls : classes) {
-    Json c = Json::Object();
-    c.Set("name", cls.name)
-        .Set("weight", cls.weight)
-        .Set("prompt_tokens", cls.prompt_tokens)
-        .Set("prompt_sigma", cls.prompt_sigma)
-        .Set("output_tokens", cls.output_tokens)
-        .Set("output_sigma", cls.output_sigma)
-        .Set("ttft_slo_s", cls.ttft_slo_s)
-        .Set("tbt_slo_s", cls.tbt_slo_s);
-    arr.Append(std::move(c));
+    arr.Append(WriteBlock(ClassBlock(), &cls));
   }
   return arr;
 }
 
 Json ArrivalProcessToJson(const ArrivalProcess& process) {
-  Json j = Json::Object();
-  j.Set("kind", ToString(process.kind));
-  switch (process.kind) {
-    case ArrivalKind::kPoisson:
-      break;
-    case ArrivalKind::kDiurnal: {
-      j.Set("period_s", process.period_s);
-      Json arr = Json::Array();
-      for (double m : process.multipliers) {
-        arr.Append(m);
-      }
-      j.Set("multipliers", std::move(arr));
-      break;
-    }
-    case ArrivalKind::kOnOff:
-      j.Set("on_mean_s", process.on_mean_s)
-          .Set("off_mean_s", process.off_mean_s)
-          .Set("on_multiplier", process.on_multiplier)
-          .Set("off_multiplier", process.off_multiplier);
-      break;
-    case ArrivalKind::kTrace: {
-      Json arr = Json::Array();
-      for (double t : process.times_s) {
-        arr.Append(t);
-      }
-      j.Set("times_s", std::move(arr));
-      break;
-    }
-  }
-  return j;
+  return WriteBlock(ArrivalBlock(process.kind), &process);
 }
 
 Json AutoscalerKnobsToJson(const AutoscalerKnobs& knobs) {
-  Json j = Json::Object();
-  j.Set("policy", ToString(knobs.policy))
-      .Set("interval_s", knobs.interval_s)
-      .Set("delay_s", knobs.delay_s)
-      .Set("min_prefill_instances", knobs.min_prefill_instances)
-      .Set("max_prefill_instances", knobs.max_prefill_instances)
-      .Set("min_decode_instances", knobs.min_decode_instances)
-      .Set("max_decode_instances", knobs.max_decode_instances)
-      .Set("scale_up_backlog_s", knobs.scale_up_backlog_s)
-      .Set("scale_up_utilization", knobs.scale_up_utilization)
-      .Set("scale_down_utilization", knobs.scale_down_utilization)
-      .Set("forecast_window_s", knobs.forecast_window_s)
-      .Set("headroom", knobs.headroom);
-  return j;
+  return WriteBlock(AutoscalerBlock(), &knobs);
 }
 
-Json FaultKnobsToJson(const FaultKnobs& knobs) {
-  const FaultKnobs defaults;
-  Json j = Json::Object();
-  j.Set("afr", knobs.afr)
-      .Set("floor_afr", knobs.floor_afr)
-      .Set("mttr_hours", knobs.mttr_hours)
-      .Set("spare_activation_minutes", knobs.spare_activation_minutes)
-      .Set("hot_spares", knobs.hot_spares)
-      .Set("retry_policy", ToString(knobs.retry_policy))
-      .Set("retry_budget", knobs.retry_budget)
-      .Set("target_attainment", knobs.target_attainment);
-  // Post-domain keys emit only when set: a pre-domain faults block (and
-  // every report echoing one) serializes byte-identically to before the
-  // keys existed.
-  if (knobs.domain_gpus != defaults.domain_gpus) {
-    j.Set("domain_gpus", knobs.domain_gpus);
-  }
-  if (knobs.domain_afr != defaults.domain_afr) {
-    j.Set("domain_afr", knobs.domain_afr);
-  }
-  if (knobs.domain_mttr_hours != defaults.domain_mttr_hours) {
-    j.Set("domain_mttr_hours", knobs.domain_mttr_hours);
-  }
-  if (knobs.degrade_afr != defaults.degrade_afr) {
-    j.Set("degrade_afr", knobs.degrade_afr);
-  }
-  if (knobs.degrade_multiplier != defaults.degrade_multiplier) {
-    j.Set("degrade_multiplier", knobs.degrade_multiplier);
-  }
-  if (knobs.degrade_minutes != defaults.degrade_minutes) {
-    j.Set("degrade_minutes", knobs.degrade_minutes);
-  }
-  if (knobs.shed_queue_depth != defaults.shed_queue_depth) {
-    j.Set("shed_queue_depth", knobs.shed_queue_depth);
-  }
-  if (knobs.shed_ttft_deadline_s != defaults.shed_ttft_deadline_s) {
-    j.Set("shed_ttft_deadline_s", knobs.shed_ttft_deadline_s);
-  }
-  return j;
-}
+Json FaultKnobsToJson(const FaultKnobs& knobs) { return WriteBlock(FaultBlock(), &knobs); }
 
 // Compared field-by-field — not merely enabled() — so an afr-0 block with,
 // say, hot spares set still round-trips instead of silently vanishing.
 bool FaultKnobsAreDefault(const FaultKnobs& knobs) {
-  const FaultKnobs defaults;
-  return knobs.afr == defaults.afr && knobs.floor_afr == defaults.floor_afr &&
-         knobs.mttr_hours == defaults.mttr_hours &&
-         knobs.spare_activation_minutes == defaults.spare_activation_minutes &&
-         knobs.hot_spares == defaults.hot_spares &&
-         knobs.retry_policy == defaults.retry_policy &&
-         knobs.retry_budget == defaults.retry_budget &&
-         knobs.target_attainment == defaults.target_attainment &&
-         knobs.domain_gpus == defaults.domain_gpus &&
-         knobs.domain_afr == defaults.domain_afr &&
-         knobs.domain_mttr_hours == defaults.domain_mttr_hours &&
-         knobs.degrade_afr == defaults.degrade_afr &&
-         knobs.degrade_multiplier == defaults.degrade_multiplier &&
-         knobs.degrade_minutes == defaults.degrade_minutes &&
-         knobs.shed_queue_depth == defaults.shed_queue_depth &&
-         knobs.shed_ttft_deadline_s == defaults.shed_ttft_deadline_s;
+  return SameBlock(FaultBlock(), &knobs, FaultBlock().defaults);
 }
 
-Json FleetKnobsToJson(const FleetKnobs& knobs) {
-  Json fleet = Json::Object();
-  Json cands = Json::Array();
-  for (const FleetCandidate& c : knobs.candidates) {
-    Json cand = Json::Object();
-    cand.Set("name", c.name)
-        .Set("gpu", c.gpu)
-        .Set("split", c.split)
-        .Set("mem_bw_multiplier", c.mem_bw_multiplier)
-        .Set("net_bw_multiplier", c.net_bw_multiplier)
-        .Set("overclock", c.overclock)
-        .Set("prefill_instances", c.prefill_instances)
-        .Set("decode_instances", c.decode_instances);
-    cands.Append(std::move(cand));
-  }
-  fleet.Set("candidates", std::move(cands));
-  if (!knobs.loads.empty()) {
-    Json arr = Json::Array();
-    for (double load : knobs.loads) {
-      arr.Append(load);
-    }
-    fleet.Set("loads", std::move(arr));
-  }
-  fleet.Set("load_lo", knobs.load_lo)
-      .Set("load_hi", knobs.load_hi)
-      .Set("load_step", knobs.load_step)
-      .Set("horizon_s", knobs.horizon_s)
-      .Set("prompt_sigma", knobs.prompt_sigma)
-      .Set("output_sigma", knobs.output_sigma)
-      .Set("seed", knobs.seed)
-      .Set("hbm_usd_per_gb", knobs.hbm_usd_per_gb)
-      .Set("gpu_price_multiplier", knobs.gpu_price_multiplier)
-      .Set("depreciation_months", knobs.depreciation_months)
-      .Set("electricity_usd_per_kwh", knobs.electricity_usd_per_kwh)
-      .Set("gpu_utilization", knobs.gpu_utilization);
-  return fleet;
-}
+Json FleetKnobsToJson(const FleetKnobs& knobs) { return WriteBlock(FleetBlock(), &knobs); }
 
-namespace {
-
-// The shared tail of the serve/sweep blocks. Key order matches the
-// pre-unification writers exactly; the new `arrival`/`autoscaler` keys are
-// emitted only when non-default, so pre-existing scenarios (and report
-// config echoes) serialize byte-identically.
-void WriteServeCommonKnobs(Json& block, const ServeCommonKnobs& knobs) {
-  block.Set("horizon_s", knobs.horizon_s)
-      .Set("prefill_instances", knobs.prefill_instances)
-      .Set("decode_instances", knobs.decode_instances)
-      .Set("prompt_sigma", knobs.prompt_sigma)
-      .Set("output_sigma", knobs.output_sigma)
-      .Set("seed", knobs.seed);
-  if (knobs.arrival.kind != ArrivalKind::kPoisson) {
-    block.Set("arrival", ArrivalProcessToJson(knobs.arrival));
-  }
-  if (knobs.autoscaler.enabled()) {
-    block.Set("autoscaler", AutoscalerKnobsToJson(knobs.autoscaler));
-  }
-  if (!FaultKnobsAreDefault(knobs.faults)) {
-    block.Set("faults", FaultKnobsToJson(knobs.faults));
-  }
-  if (!knobs.classes.empty()) {
-    block.Set("classes", RequestClassesToJson(knobs.classes));
-  }
-  if (knobs.shards >= 2) {
-    block.Set("shards", knobs.shards);
-  }
-}
-
-}  // namespace
-
-Json ScenarioToJson(const Scenario& s) {
-  Json j = Json::Object();
-  if (!s.name.empty()) {
-    j.Set("name", s.name);
-  }
-  j.Set("study", ToString(s.study));
-  if (!s.models.empty()) {
-    Json arr = Json::Array();
-    for (const auto& m : s.models) {
-      arr.Append(m);
-    }
-    j.Set("models", std::move(arr));
-  }
-  if (!s.gpus.empty()) {
-    Json arr = Json::Array();
-    for (const auto& g : s.gpus) {
-      arr.Append(g);
-    }
-    j.Set("gpus", std::move(arr));
-  }
-  j.Set("baseline_gpu", s.baseline_gpu);
-
-  Json workload = Json::Object();
-  workload.Set("prompt_tokens", s.workload.prompt_tokens)
-      .Set("output_tokens", s.workload.output_tokens)
-      .Set("ttft_slo_s", s.workload.ttft_slo_s)
-      .Set("tbt_slo_s", s.workload.tbt_slo_s)
-      .Set("enforce_memory_capacity", s.workload.enforce_memory_capacity);
-  j.Set("workload", std::move(workload));
-  j.Set("kv_policy", ToString(s.kv_policy));
-  j.Set("max_batch", s.max_batch);
-
-  switch (s.study) {
-    case StudyKind::kDesign: {
-      Json design = Json::Object();
-      design.Set("hbm_usd_per_gb", s.design.hbm_usd_per_gb)
-          .Set("gpu_price_multiplier", s.design.gpu_price_multiplier)
-          .Set("amortization_years", s.design.amortization_years)
-          .Set("yield_model", ToString(s.design.yield_model));
-      j.Set("design", std::move(design));
-      break;
-    }
-    case StudyKind::kMcSim: {
-      Json mcsim = Json::Object();
-      mcsim.Set("gpus_per_instance", s.mcsim.gpus_per_instance)
-          .Set("num_instances", s.mcsim.num_instances)
-          .Set("num_spares", s.mcsim.num_spares)
-          .Set("sim_years", s.mcsim.sim_years)
-          .Set("seed", s.mcsim.seed)
-          .Set("num_trials", s.mcsim.num_trials);
-      j.Set("mcsim", std::move(mcsim));
-      break;
-    }
-    case StudyKind::kYield: {
-      Json yield = Json::Object();
-      yield.Set("defect_density_per_cm2", s.yield.defect_density_per_cm2)
-          .Set("cluster_alpha", s.yield.cluster_alpha)
-          .Set("die_area_mm2", s.yield.die_area_mm2)
-          .Set("split", s.yield.split);
-      j.Set("yield", std::move(yield));
-      break;
-    }
-    case StudyKind::kDerive: {
-      Json derive = Json::Object();
-      derive.Set("base_gpu", s.derive.base_gpu)
-          .Set("split", s.derive.split)
-          .Set("mem_bw_multiplier", s.derive.mem_bw_multiplier)
-          .Set("net_bw_multiplier", s.derive.net_bw_multiplier)
-          .Set("overclock", s.derive.overclock);
-      j.Set("derive", std::move(derive));
-      break;
-    }
-    case StudyKind::kServe: {
-      Json serve = Json::Object();
-      serve.Set("load", s.serve.load)
-          .Set("arrival_rate_per_s", s.serve.arrival_rate_per_s);
-      WriteServeCommonKnobs(serve, s.serve);
-      j.Set("serve", std::move(serve));
-      break;
-    }
-    case StudyKind::kServeSweep: {
-      Json sweep = Json::Object();
-      if (!s.sweep.loads.empty()) {
-        Json arr = Json::Array();
-        for (double load : s.sweep.loads) {
-          arr.Append(load);
-        }
-        sweep.Set("loads", std::move(arr));
-      }
-      if (!s.sweep.rates.empty()) {
-        Json arr = Json::Array();
-        for (double rate : s.sweep.rates) {
-          arr.Append(rate);
-        }
-        sweep.Set("rates", std::move(arr));
-      }
-      sweep.Set("load_lo", s.sweep.load_lo)
-          .Set("load_hi", s.sweep.load_hi)
-          .Set("load_step", s.sweep.load_step);
-      WriteServeCommonKnobs(sweep, s.sweep);
-      j.Set("sweep", std::move(sweep));
-      break;
-    }
-    case StudyKind::kFleetCompare:
-      j.Set("fleet", FleetKnobsToJson(s.fleet));
-      break;
-    default:
-      break;
-  }
-
-  Json exec = Json::Object();
-  exec.Set("threads", s.exec.threads);
-  j.Set("exec", std::move(exec));
-  return j;
-}
-
-namespace {
-
-// Fails on keys outside `allowed`, so scenario-file typos surface instead of
-// silently falling back to defaults (the same contract as
-// Flags::UnknownFlagCheck on the CLI).
-bool CheckKeys(const Json& obj, const std::vector<std::string>& allowed,
-               const std::string& where, std::string* error) {
-  for (const auto& member : obj.members()) {
-    if (std::find(allowed.begin(), allowed.end(), member.first) == allowed.end()) {
-      if (error != nullptr) {
-        *error = "unknown key '" + member.first + "' in " + where;
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
-// CheckKeys plus a did-you-mean hint for near-miss spellings, the same
-// treatment unknown CLI flags get. The fleet block uses it; the older
-// blocks keep CheckKeys so their pinned error strings stay stable.
-bool CheckKeysSuggest(const Json& obj, const std::vector<std::string>& allowed,
-                      const std::string& where, std::string* error) {
-  for (const auto& member : obj.members()) {
-    if (std::find(allowed.begin(), allowed.end(), member.first) == allowed.end()) {
-      if (error != nullptr) {
-        *error = "unknown key '" + member.first + "' in " + where;
-        std::string best = ClosestCandidate(member.first, allowed);
-        if (!best.empty()) {
-          *error += " (did you mean '" + best + "'?)";
-        }
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
-// Strict field readers: absent keys keep the caller's default, but a
-// present key with the wrong JSON type is an error — a mistyped value must
-// not silently fall back (same fail-loudly contract as CheckKeys).
-bool TypeError(const std::string& key, const std::string& where, const char* expected,
-               std::string* error) {
-  if (error != nullptr) {
-    *error = "'" + key + "' in " + where + " must be " + expected;
-  }
-  return false;
-}
-
-bool ReadDouble(const Json& obj, const std::string& key, const std::string& where,
-                double& out, std::string* error) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (v->type() != Json::Type::kNumber) {
-    return TypeError(key, where, "a number", error);
-  }
-  out = v->AsDouble();
-  return true;
-}
-
-bool ReadInt(const Json& obj, const std::string& key, const std::string& where, int& out,
-             std::string* error) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (v->type() != Json::Type::kNumber) {
-    return TypeError(key, where, "a number", error);
-  }
-  out = v->AsInt();
-  return true;
-}
-
-bool ReadUint64(const Json& obj, const std::string& key, const std::string& where,
-                uint64_t& out, std::string* error) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (v->type() != Json::Type::kNumber) {
-    return TypeError(key, where, "a number", error);
-  }
-  out = v->AsUint64(out);
-  return true;
-}
-
-bool ReadBool(const Json& obj, const std::string& key, const std::string& where, bool& out,
-              std::string* error) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (v->type() != Json::Type::kBool) {
-    return TypeError(key, where, "true or false", error);
-  }
-  out = v->AsBool();
-  return true;
-}
-
-bool ReadString(const Json& obj, const std::string& key, const std::string& where,
-                std::string& out, std::string* error) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (v->type() != Json::Type::kString) {
-    return TypeError(key, where, "a string", error);
-  }
-  out = v->AsString();
-  return true;
-}
-
-bool ReadDoubleList(const Json& obj, const std::string& key, const std::string& where,
-                    std::vector<double>& out, std::string* error) {
-  const Json* arr = obj.Find(key);
-  if (arr == nullptr) {
-    return true;
-  }
-  if (!arr->is_array()) {
-    return TypeError(key, where, "an array of numbers", error);
-  }
-  for (const Json& e : arr->elements()) {
-    if (e.type() != Json::Type::kNumber) {
-      return TypeError(key, where, "an array of numbers", error);
-    }
-    out.push_back(e.AsDouble());
-  }
-  return true;
-}
-
-// Strict reader for a `classes` array value: every entry must be an
-// object, unknown or mistyped keys fail loudly like every other block.
-bool ReadClassList(const Json& arr, const std::string& where,
-                   std::vector<RequestClass>& out, std::string* error) {
-  size_t index = 0;
-  for (const Json& entry : arr.elements()) {
-    std::string label = where + ".classes[" + std::to_string(index++) + "]";
-    if (!entry.is_object()) {
-      if (error != nullptr) {
-        *error = label + " must be an object";
-      }
-      return false;
-    }
-    RequestClass cls;
-    if (!CheckKeys(entry,
-                   {"name", "weight", "prompt_tokens", "prompt_sigma", "output_tokens",
-                    "output_sigma", "ttft_slo_s", "tbt_slo_s"},
-                   label, error) ||
-        !ReadString(entry, "name", label, cls.name, error) ||
-        !ReadDouble(entry, "weight", label, cls.weight, error) ||
-        !ReadInt(entry, "prompt_tokens", label, cls.prompt_tokens, error) ||
-        !ReadDouble(entry, "prompt_sigma", label, cls.prompt_sigma, error) ||
-        !ReadInt(entry, "output_tokens", label, cls.output_tokens, error) ||
-        !ReadDouble(entry, "output_sigma", label, cls.output_sigma, error) ||
-        !ReadDouble(entry, "ttft_slo_s", label, cls.ttft_slo_s, error) ||
-        !ReadDouble(entry, "tbt_slo_s", label, cls.tbt_slo_s, error)) {
-      return false;
-    }
-    out.push_back(std::move(cls));
-  }
-  return true;
-}
-
-// The in-scenario form: an optional "classes" key on the serve/sweep block.
-bool ReadClasses(const Json& obj, const std::string& where,
-                 std::vector<RequestClass>& out, std::string* error) {
-  const Json* arr = obj.Find("classes");
-  if (arr == nullptr) {
-    return true;
-  }
-  if (!arr->is_array()) {
-    return TypeError("classes", where, "an array of class objects", error);
-  }
-  return ReadClassList(*arr, where, out, error);
-}
-
-// Strict reader for an arrival-process object: a tagged union on `kind`.
-// Each kind accepts only its own keys, and an unknown kind fails with a
-// did-you-mean hint (same contract as unknown CLI flags). `label` names
-// the block in messages ("serve.arrival", "arrival file", ...).
-bool ReadArrivalObject(const Json& obj, const std::string& label, ArrivalProcess& out,
-                       std::string* error) {
-  if (!obj.is_object()) {
-    if (error != nullptr) {
-      *error = label + " must be an object";
-    }
-    return false;
-  }
-  std::string kind_name = ToString(ArrivalKind::kPoisson);  // omitted = stationary
-  if (!ReadString(obj, "kind", label, kind_name, error)) {
-    return false;
-  }
-  auto kind = ParseArrivalKind(kind_name);
-  if (!kind) {
-    if (error != nullptr) {
-      *error = "unknown arrival kind '" + kind_name +
-               "' in " + label + " (expected poisson|diurnal|onoff|trace";
-      std::string best =
-          ClosestCandidate(kind_name, {"poisson", "diurnal", "onoff", "trace"});
-      if (!best.empty()) {
-        *error += "; did you mean '" + best + "'?";
-      }
-      *error += ")";
-    }
-    return false;
-  }
-  out.kind = *kind;
-  switch (out.kind) {
-    case ArrivalKind::kPoisson:
-      return CheckKeys(obj, {"kind"}, label, error);
-    case ArrivalKind::kDiurnal:
-      return CheckKeys(obj, {"kind", "period_s", "multipliers"}, label, error) &&
-             ReadDouble(obj, "period_s", label, out.period_s, error) &&
-             ReadDoubleList(obj, "multipliers", label, out.multipliers, error);
-    case ArrivalKind::kOnOff:
-      return CheckKeys(obj,
-                       {"kind", "on_mean_s", "off_mean_s", "on_multiplier",
-                        "off_multiplier"},
-                       label, error) &&
-             ReadDouble(obj, "on_mean_s", label, out.on_mean_s, error) &&
-             ReadDouble(obj, "off_mean_s", label, out.off_mean_s, error) &&
-             ReadDouble(obj, "on_multiplier", label, out.on_multiplier, error) &&
-             ReadDouble(obj, "off_multiplier", label, out.off_multiplier, error);
-    case ArrivalKind::kTrace:
-      return CheckKeys(obj, {"kind", "times_s"}, label, error) &&
-             ReadDoubleList(obj, "times_s", label, out.times_s, error);
-  }
-  return true;
-}
-
-// Strict reader for an autoscaler object. An unknown policy gets the same
-// did-you-mean treatment as arrival kinds.
-bool ReadAutoscalerObject(const Json& obj, const std::string& label, AutoscalerKnobs& out,
-                          std::string* error) {
-  if (!obj.is_object()) {
-    if (error != nullptr) {
-      *error = label + " must be an object";
-    }
-    return false;
-  }
-  if (!CheckKeys(obj,
-                 {"policy", "interval_s", "delay_s", "min_prefill_instances",
-                  "max_prefill_instances", "min_decode_instances",
-                  "max_decode_instances", "scale_up_backlog_s", "scale_up_utilization",
-                  "scale_down_utilization", "forecast_window_s", "headroom"},
-                 label, error)) {
-    return false;
-  }
-  // Writing an autoscaler block at all means you want one: the policy
-  // defaults to reactive here (an explicit "none" still turns it off).
-  std::string policy_name = ToString(AutoscalerPolicy::kReactive);
-  if (!ReadString(obj, "policy", label, policy_name, error)) {
-    return false;
-  }
-  auto policy = ParseAutoscalerPolicy(policy_name);
-  if (!policy) {
-    if (error != nullptr) {
-      *error = "unknown autoscaler policy '" + policy_name +
-               "' in " + label + " (expected none|reactive|predictive";
-      std::string best =
-          ClosestCandidate(policy_name, {"none", "reactive", "predictive"});
-      if (!best.empty()) {
-        *error += "; did you mean '" + best + "'?";
-      }
-      *error += ")";
-    }
-    return false;
-  }
-  out.policy = *policy;
-  return ReadDouble(obj, "interval_s", label, out.interval_s, error) &&
-         ReadDouble(obj, "delay_s", label, out.delay_s, error) &&
-         ReadInt(obj, "min_prefill_instances", label, out.min_prefill_instances, error) &&
-         ReadInt(obj, "max_prefill_instances", label, out.max_prefill_instances, error) &&
-         ReadInt(obj, "min_decode_instances", label, out.min_decode_instances, error) &&
-         ReadInt(obj, "max_decode_instances", label, out.max_decode_instances, error) &&
-         ReadDouble(obj, "scale_up_backlog_s", label, out.scale_up_backlog_s, error) &&
-         ReadDouble(obj, "scale_up_utilization", label, out.scale_up_utilization,
-                    error) &&
-         ReadDouble(obj, "scale_down_utilization", label, out.scale_down_utilization,
-                    error) &&
-         ReadDouble(obj, "forecast_window_s", label, out.forecast_window_s, error) &&
-         ReadDouble(obj, "headroom", label, out.headroom, error);
-}
-
-// Strict reader for a faults object. An unknown retry policy gets the same
-// did-you-mean treatment as arrival kinds and autoscaler policies.
-bool ReadFaultsObject(const Json& obj, const std::string& label, FaultKnobs& out,
-                      std::string* error) {
-  if (!obj.is_object()) {
-    if (error != nullptr) {
-      *error = label + " must be an object";
-    }
-    return false;
-  }
-  if (!CheckKeys(obj,
-                 {"afr", "floor_afr", "mttr_hours", "spare_activation_minutes",
-                  "hot_spares", "retry_policy", "retry_budget",
-                  "target_attainment", "domain_gpus", "domain_afr",
-                  "domain_mttr_hours", "degrade_afr", "degrade_multiplier",
-                  "degrade_minutes", "shed_queue_depth", "shed_ttft_deadline_s"},
-                 label, error)) {
-    return false;
-  }
-  std::string policy_name = ToString(out.retry_policy);
-  if (!ReadString(obj, "retry_policy", label, policy_name, error)) {
-    return false;
-  }
-  if (!ParseFaultRetryPolicy(policy_name, &out.retry_policy)) {
-    if (error != nullptr) {
-      *error = "unknown retry policy '" + policy_name + "' in " + label +
-               " (expected retry|drop|retry_with_budget";
-      std::string best =
-          ClosestCandidate(policy_name, {"retry", "drop", "retry_with_budget"});
-      if (!best.empty()) {
-        *error += "; did you mean '" + best + "'?";
-      }
-      *error += ")";
-    }
-    return false;
-  }
-  return ReadDouble(obj, "afr", label, out.afr, error) &&
-         ReadDouble(obj, "floor_afr", label, out.floor_afr, error) &&
-         ReadDouble(obj, "mttr_hours", label, out.mttr_hours, error) &&
-         ReadDouble(obj, "spare_activation_minutes", label,
-                    out.spare_activation_minutes, error) &&
-         ReadInt(obj, "hot_spares", label, out.hot_spares, error) &&
-         ReadInt(obj, "retry_budget", label, out.retry_budget, error) &&
-         ReadDouble(obj, "target_attainment", label, out.target_attainment, error) &&
-         ReadDouble(obj, "domain_gpus", label, out.domain_gpus, error) &&
-         ReadDouble(obj, "domain_afr", label, out.domain_afr, error) &&
-         ReadDouble(obj, "domain_mttr_hours", label, out.domain_mttr_hours, error) &&
-         ReadDouble(obj, "degrade_afr", label, out.degrade_afr, error) &&
-         ReadDouble(obj, "degrade_multiplier", label, out.degrade_multiplier, error) &&
-         ReadDouble(obj, "degrade_minutes", label, out.degrade_minutes, error) &&
-         ReadInt(obj, "shed_queue_depth", label, out.shed_queue_depth, error) &&
-         ReadDouble(obj, "shed_ttft_deadline_s", label, out.shed_ttft_deadline_s,
-                    error);
-}
-
-// Strict reader for one fleet-candidate object.
-bool ReadFleetCandidate(const Json& entry, const std::string& label,
-                        FleetCandidate& out, std::string* error) {
-  if (!entry.is_object()) {
-    if (error != nullptr) {
-      *error = label + " must be an object";
-    }
-    return false;
-  }
-  return CheckKeysSuggest(entry,
-                          {"name", "gpu", "split", "mem_bw_multiplier",
-                           "net_bw_multiplier", "overclock", "prefill_instances",
-                           "decode_instances"},
-                          label, error) &&
-         ReadString(entry, "name", label, out.name, error) &&
-         ReadString(entry, "gpu", label, out.gpu, error) &&
-         ReadInt(entry, "split", label, out.split, error) &&
-         ReadDouble(entry, "mem_bw_multiplier", label, out.mem_bw_multiplier, error) &&
-         ReadDouble(entry, "net_bw_multiplier", label, out.net_bw_multiplier, error) &&
-         ReadDouble(entry, "overclock", label, out.overclock, error) &&
-         ReadInt(entry, "prefill_instances", label, out.prefill_instances, error) &&
-         ReadInt(entry, "decode_instances", label, out.decode_instances, error);
-}
-
-// Strict reader for the fleet block.
-bool ReadFleetObject(const Json& obj, const std::string& label, FleetKnobs& out,
-                     std::string* error) {
-  if (!obj.is_object()) {
-    if (error != nullptr) {
-      *error = label + " must be an object";
-    }
-    return false;
-  }
-  if (!CheckKeysSuggest(obj,
-                        {"candidates", "loads", "load_lo", "load_hi", "load_step",
-                         "horizon_s", "prompt_sigma", "output_sigma", "seed",
-                         "hbm_usd_per_gb", "gpu_price_multiplier",
-                         "depreciation_months", "electricity_usd_per_kwh",
-                         "gpu_utilization"},
-                        label, error)) {
-    return false;
-  }
-  if (const Json* cands = obj.Find("candidates")) {
-    if (!cands->is_array()) {
-      return TypeError("candidates", label, "an array of candidate objects", error);
-    }
-    size_t index = 0;
-    for (const Json& entry : cands->elements()) {
-      FleetCandidate candidate;
-      if (!ReadFleetCandidate(
-              entry, label + ".candidates[" + std::to_string(index++) + "]",
-              candidate, error)) {
-        return false;
-      }
-      out.candidates.push_back(std::move(candidate));
-    }
-  }
-  return ReadDoubleList(obj, "loads", label, out.loads, error) &&
-         ReadDouble(obj, "load_lo", label, out.load_lo, error) &&
-         ReadDouble(obj, "load_hi", label, out.load_hi, error) &&
-         ReadDouble(obj, "load_step", label, out.load_step, error) &&
-         ReadDouble(obj, "horizon_s", label, out.horizon_s, error) &&
-         ReadDouble(obj, "prompt_sigma", label, out.prompt_sigma, error) &&
-         ReadDouble(obj, "output_sigma", label, out.output_sigma, error) &&
-         ReadUint64(obj, "seed", label, out.seed, error) &&
-         ReadDouble(obj, "hbm_usd_per_gb", label, out.hbm_usd_per_gb, error) &&
-         ReadDouble(obj, "gpu_price_multiplier", label, out.gpu_price_multiplier,
-                    error) &&
-         ReadDouble(obj, "depreciation_months", label, out.depreciation_months,
-                    error) &&
-         ReadDouble(obj, "electricity_usd_per_kwh", label,
-                    out.electricity_usd_per_kwh, error) &&
-         ReadDouble(obj, "gpu_utilization", label, out.gpu_utilization, error);
-}
-
-// The keys ReadServeCommonKnobs consumes; the serve/sweep CheckKeys lists
-// are built from this so the two blocks can't drift.
-std::vector<std::string> ServeCommonKeys(std::vector<std::string> own) {
-  for (const char* key : {"horizon_s", "prefill_instances", "decode_instances",
-                          "prompt_sigma", "output_sigma", "seed", "arrival",
-                          "autoscaler", "faults", "classes", "shards"}) {
-    own.push_back(key);
-  }
-  return own;
-}
-
-// The one strict reader for the per-point knobs shared by the serve and
-// sweep blocks. Absent keys keep their defaults (stationary Poisson, no
-// autoscaler), so pre-existing scenario files parse unchanged.
-bool ReadServeCommonKnobs(const Json& obj, const std::string& where,
-                          ServeCommonKnobs& out, std::string* error) {
-  if (!ReadDouble(obj, "horizon_s", where, out.horizon_s, error) ||
-      !ReadInt(obj, "prefill_instances", where, out.prefill_instances, error) ||
-      !ReadInt(obj, "decode_instances", where, out.decode_instances, error) ||
-      !ReadDouble(obj, "prompt_sigma", where, out.prompt_sigma, error) ||
-      !ReadDouble(obj, "output_sigma", where, out.output_sigma, error) ||
-      !ReadUint64(obj, "seed", where, out.seed, error) ||
-      !ReadInt(obj, "shards", where, out.shards, error)) {
-    return false;
-  }
-  if (const Json* arrival = obj.Find("arrival")) {
-    if (!ReadArrivalObject(*arrival, where + ".arrival", out.arrival, error)) {
-      return false;
-    }
-  }
-  if (const Json* autoscaler = obj.Find("autoscaler")) {
-    if (!ReadAutoscalerObject(*autoscaler, where + ".autoscaler", out.autoscaler,
-                              error)) {
-      return false;
-    }
-  }
-  if (const Json* faults = obj.Find("faults")) {
-    if (!ReadFaultsObject(*faults, where + ".faults", out.faults, error)) {
-      return false;
-    }
-  }
-  return ReadClasses(obj, where, out.classes, error);
-}
-
-bool ReadNames(const Json& obj, const std::string& key, std::vector<std::string>& out,
-               std::string* error) {
-  const Json* arr = obj.Find(key);
-  if (arr == nullptr) {
-    return true;
-  }
-  if (!arr->is_array()) {
-    if (error != nullptr) {
-      *error = "'" + key + "' must be an array of names";
-    }
-    return false;
-  }
-  for (const Json& e : arr->elements()) {
-    if (e.type() != Json::Type::kString) {
-      if (error != nullptr) {
-        *error = "'" + key + "' entries must be strings";
-      }
-      return false;
-    }
-    out.push_back(e.AsString());
-  }
-  return true;
-}
-
-}  // namespace
+Json ScenarioToJson(const Scenario& s) { return WriteBlock(ScenarioBlock(), &s); }
 
 std::optional<Scenario> ScenarioFromJson(const Json& json, std::string* error) {
   if (!json.is_object()) {
-    if (error != nullptr) {
-      *error = "scenario must be a JSON object";
-    }
+    Fail(error, "scenario must be a JSON object");
     return std::nullopt;
   }
-  if (!CheckKeys(json,
-                 {"name", "study", "models", "gpus", "baseline_gpu", "workload",
-                  "kv_policy", "max_batch", "design", "mcsim", "yield", "derive", "serve",
-                  "sweep", "fleet", "exec"},
-                 "scenario", error)) {
-    return std::nullopt;
-  }
-
   Scenario s;
-  if (!ReadString(json, "name", "scenario", s.name, error)) {
+  if (!ReadBlock(ScenarioBlock(), json, "", &s, error)) {
     return std::nullopt;
   }
-  std::string study_name;
-  if (!ReadString(json, "study", "scenario", study_name, error)) {
+  std::string study = Namer<Scenario>(ScenarioBlock(), "").Key(&Scenario::study);
+  if (json.Find(study) == nullptr) {
+    Fail(error, "scenario is missing required key '" + study + "'");
     return std::nullopt;
-  }
-  if (study_name.empty()) {
-    if (error != nullptr) {
-      *error = "scenario is missing required key 'study'";
-    }
-    return std::nullopt;
-  }
-  auto study = ParseStudyKind(study_name);
-  if (!study) {
-    if (error != nullptr) {
-      *error = "unknown study '" + study_name +
-               "' (expected search|fig3a|fig3b|design|mcsim|yield|derive|serve|"
-               "serve-sweep|fleet-compare)";
-    }
-    return std::nullopt;
-  }
-  s.study = *study;
-
-  if (!ReadNames(json, "models", s.models, error) ||
-      !ReadNames(json, "gpus", s.gpus, error) ||
-      !ReadString(json, "baseline_gpu", "scenario", s.baseline_gpu, error)) {
-    return std::nullopt;
-  }
-
-  if (const Json* workload = json.Find("workload")) {
-    if (!CheckKeys(*workload,
-                   {"prompt_tokens", "output_tokens", "ttft_slo_s", "tbt_slo_s",
-                    "enforce_memory_capacity"},
-                   "workload", error) ||
-        !ReadInt(*workload, "prompt_tokens", "workload", s.workload.prompt_tokens, error) ||
-        !ReadInt(*workload, "output_tokens", "workload", s.workload.output_tokens, error) ||
-        !ReadDouble(*workload, "ttft_slo_s", "workload", s.workload.ttft_slo_s, error) ||
-        !ReadDouble(*workload, "tbt_slo_s", "workload", s.workload.tbt_slo_s, error) ||
-        !ReadBool(*workload, "enforce_memory_capacity", "workload",
-                  s.workload.enforce_memory_capacity, error)) {
-      return std::nullopt;
-    }
-  }
-
-  if (const Json* policy = json.Find("kv_policy")) {
-    auto parsed = ParseKvShardPolicy(policy->AsString());
-    if (!parsed) {
-      if (error != nullptr) {
-        *error = "unknown kv_policy '" + policy->AsString() +
-                 "' (expected replicate|ideal-shard)";
-      }
-      return std::nullopt;
-    }
-    s.kv_policy = *parsed;
-  }
-  if (!ReadInt(json, "max_batch", "scenario", s.max_batch, error)) {
-    return std::nullopt;
-  }
-
-  if (const Json* design = json.Find("design")) {
-    if (!CheckKeys(*design,
-                   {"hbm_usd_per_gb", "gpu_price_multiplier", "amortization_years",
-                    "yield_model"},
-                   "design", error) ||
-        !ReadDouble(*design, "hbm_usd_per_gb", "design", s.design.hbm_usd_per_gb, error) ||
-        !ReadDouble(*design, "gpu_price_multiplier", "design",
-                    s.design.gpu_price_multiplier, error) ||
-        !ReadDouble(*design, "amortization_years", "design", s.design.amortization_years,
-                    error)) {
-      return std::nullopt;
-    }
-    if (const Json* ym = design->Find("yield_model")) {
-      auto parsed = ParseYieldModel(ym->AsString());
-      if (!parsed) {
-        if (error != nullptr) {
-          *error = "unknown yield_model '" + ym->AsString() + "'";
-        }
-        return std::nullopt;
-      }
-      s.design.yield_model = *parsed;
-    }
-  }
-
-  if (const Json* mcsim = json.Find("mcsim")) {
-    if (!CheckKeys(*mcsim,
-                   {"gpus_per_instance", "num_instances", "num_spares", "sim_years",
-                    "seed", "num_trials"},
-                   "mcsim", error) ||
-        !ReadInt(*mcsim, "gpus_per_instance", "mcsim", s.mcsim.gpus_per_instance, error) ||
-        !ReadInt(*mcsim, "num_instances", "mcsim", s.mcsim.num_instances, error) ||
-        !ReadInt(*mcsim, "num_spares", "mcsim", s.mcsim.num_spares, error) ||
-        !ReadDouble(*mcsim, "sim_years", "mcsim", s.mcsim.sim_years, error) ||
-        !ReadUint64(*mcsim, "seed", "mcsim", s.mcsim.seed, error) ||
-        !ReadInt(*mcsim, "num_trials", "mcsim", s.mcsim.num_trials, error)) {
-      return std::nullopt;
-    }
-  }
-
-  if (const Json* yield = json.Find("yield")) {
-    if (!CheckKeys(*yield,
-                   {"defect_density_per_cm2", "cluster_alpha", "die_area_mm2", "split"},
-                   "yield", error) ||
-        !ReadDouble(*yield, "defect_density_per_cm2", "yield",
-                    s.yield.defect_density_per_cm2, error) ||
-        !ReadDouble(*yield, "cluster_alpha", "yield", s.yield.cluster_alpha, error) ||
-        !ReadDouble(*yield, "die_area_mm2", "yield", s.yield.die_area_mm2, error) ||
-        !ReadInt(*yield, "split", "yield", s.yield.split, error)) {
-      return std::nullopt;
-    }
-  }
-
-  if (const Json* derive = json.Find("derive")) {
-    if (!CheckKeys(*derive,
-                   {"base_gpu", "split", "mem_bw_multiplier", "net_bw_multiplier",
-                    "overclock"},
-                   "derive", error) ||
-        !ReadString(*derive, "base_gpu", "derive", s.derive.base_gpu, error) ||
-        !ReadInt(*derive, "split", "derive", s.derive.split, error) ||
-        !ReadDouble(*derive, "mem_bw_multiplier", "derive", s.derive.mem_bw_multiplier,
-                    error) ||
-        !ReadDouble(*derive, "net_bw_multiplier", "derive", s.derive.net_bw_multiplier,
-                    error) ||
-        !ReadDouble(*derive, "overclock", "derive", s.derive.overclock, error)) {
-      return std::nullopt;
-    }
-  }
-
-  if (const Json* serve = json.Find("serve")) {
-    if (!CheckKeys(*serve, ServeCommonKeys({"load", "arrival_rate_per_s"}), "serve",
-                   error) ||
-        !ReadDouble(*serve, "load", "serve", s.serve.load, error) ||
-        !ReadDouble(*serve, "arrival_rate_per_s", "serve", s.serve.arrival_rate_per_s,
-                    error) ||
-        !ReadServeCommonKnobs(*serve, "serve", s.serve, error)) {
-      return std::nullopt;
-    }
-  }
-
-  if (const Json* sweep = json.Find("sweep")) {
-    if (!CheckKeys(*sweep,
-                   ServeCommonKeys({"loads", "rates", "load_lo", "load_hi", "load_step"}),
-                   "sweep", error) ||
-        !ReadDoubleList(*sweep, "loads", "sweep", s.sweep.loads, error) ||
-        !ReadDoubleList(*sweep, "rates", "sweep", s.sweep.rates, error) ||
-        !ReadDouble(*sweep, "load_lo", "sweep", s.sweep.load_lo, error) ||
-        !ReadDouble(*sweep, "load_hi", "sweep", s.sweep.load_hi, error) ||
-        !ReadDouble(*sweep, "load_step", "sweep", s.sweep.load_step, error) ||
-        !ReadServeCommonKnobs(*sweep, "sweep", s.sweep, error)) {
-      return std::nullopt;
-    }
-  }
-
-  if (const Json* fleet = json.Find("fleet")) {
-    if (!ReadFleetObject(*fleet, "fleet", s.fleet, error)) {
-      return std::nullopt;
-    }
-  }
-
-  if (const Json* exec = json.Find("exec")) {
-    if (!CheckKeys(*exec, {"threads"}, "exec", error) ||
-        !ReadInt(*exec, "threads", "exec", s.exec.threads, error)) {
-      return std::nullopt;
-    }
   }
   return s;
 }
 
+namespace {
+
+// A standalone knob file holds the block itself or {"<key>": block}; `key`
+// is the block's key in the serve/sweep blocks. Null (with `error` set) when
+// the wrapper has other keys.
+const Json* Unwrap(const Json& json, const std::string& key, std::string* error) {
+  if (!json.is_object() || json.Find(key) == nullptr) {
+    return &json;
+  }
+  return CheckKeys(json, {key}, key + " file", error) ? json.Find(key) : nullptr;
+}
+
+template <typename T>
+std::optional<T> ParseKnobFile(const Json& json, const Block& block, T ServeCommonKnobs::*member,
+                               std::string* error) {
+  std::string key = Namer<ServeCommonKnobs>(ServeCommonBlock(), "").Key(member);
+  const Json* obj = Unwrap(json, key, error);
+  T knobs;
+  if (obj == nullptr || !ReadBlock(block, *obj, key + " file", &knobs, error)) {
+    return std::nullopt;
+  }
+  return knobs;
+}
+
+}  // namespace
+
 std::optional<std::vector<RequestClass>> ParseRequestClasses(const Json& json,
                                                              std::string* error) {
-  std::vector<RequestClass> classes;
-  if (json.is_array()) {
-    if (!ReadClassList(json, "classes", classes, error)) {
-      return std::nullopt;
-    }
-    return classes;
-  }
+  std::string key = Namer<ServeCommonKnobs>(ServeCommonBlock(), "").Key(&ServeCommonKnobs::classes);
+  const Json* list = &json;
   if (json.is_object()) {
-    if (!CheckKeys(json, {"classes"}, "class mix", error)) {
+    if (!CheckKeys(json, {key}, "class mix", error)) {
       return std::nullopt;
     }
-    const Json* arr = json.Find("classes");
-    if (arr == nullptr || !arr->is_array()) {
-      if (error != nullptr) {
-        *error = "class mix needs a 'classes' array";
-      }
+    list = json.Find(key);
+    if (list == nullptr || !list->is_array()) {
+      Fail(error, "class mix needs a '" + key + "' array");
       return std::nullopt;
     }
-    if (!ReadClassList(*arr, "classes", classes, error)) {
-      return std::nullopt;
-    }
-    return classes;
+  } else if (!json.is_array()) {
+    Fail(error, "class mix must be a JSON array or {\"" + key + "\": [...]}");
+    return std::nullopt;
   }
-  if (error != nullptr) {
-    *error = "class mix must be a JSON array or {\"classes\": [...]}";
+  std::vector<RequestClass> classes;
+  if (!ReadBlockList(ClassBlock(), *list, key, classes, error)) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return classes;
 }
 
 std::optional<ArrivalProcess> ParseArrivalProcess(const Json& json, std::string* error) {
-  const Json* obj = &json;
-  if (json.is_object() && json.Find("arrival") != nullptr) {
-    if (!CheckKeys(json, {"arrival"}, "arrival file", error)) {
-      return std::nullopt;
-    }
-    obj = json.Find("arrival");
-  }
+  std::string key = Namer<ServeCommonKnobs>(ServeCommonBlock(), "").Key(&ServeCommonKnobs::arrival);
+  const Json* obj = Unwrap(json, key, error);
   ArrivalProcess process;
-  if (!ReadArrivalObject(*obj, "arrival file", process, error)) {
+  if (obj == nullptr || !ReadArrival(*obj, key + " file", process, error)) {
     return std::nullopt;
   }
   return process;
 }
 
 std::optional<AutoscalerKnobs> ParseAutoscalerKnobs(const Json& json, std::string* error) {
-  const Json* obj = &json;
-  if (json.is_object() && json.Find("autoscaler") != nullptr) {
-    if (!CheckKeys(json, {"autoscaler"}, "autoscaler file", error)) {
-      return std::nullopt;
-    }
-    obj = json.Find("autoscaler");
-  }
-  AutoscalerKnobs knobs;
-  if (!ReadAutoscalerObject(*obj, "autoscaler file", knobs, error)) {
-    return std::nullopt;
-  }
-  return knobs;
+  return ParseKnobFile(json, AutoscalerBlock(), &ServeCommonKnobs::autoscaler, error);
 }
 
 std::optional<FaultKnobs> ParseFaultKnobs(const Json& json, std::string* error) {
-  const Json* obj = &json;
-  if (json.is_object() && json.Find("faults") != nullptr) {
-    if (!CheckKeys(json, {"faults"}, "faults file", error)) {
-      return std::nullopt;
-    }
-    obj = json.Find("faults");
-  }
-  FaultKnobs knobs;
-  if (!ReadFaultsObject(*obj, "faults file", knobs, error)) {
-    return std::nullopt;
-  }
-  return knobs;
+  return ParseKnobFile(json, FaultBlock(), &ServeCommonKnobs::faults, error);
 }
 
 bool operator==(const Scenario& a, const Scenario& b) {
@@ -1818,9 +998,7 @@ std::optional<std::vector<Scenario>> ScenariosFromJson(const Json& json,
     }
     list = json.Find("scenarios");
     if (!list->is_array()) {
-      if (error != nullptr) {
-        *error = "'scenarios' must be an array";
-      }
+      Fail(error, "'scenarios' must be an array");
       return std::nullopt;
     }
   }
@@ -1842,9 +1020,7 @@ std::optional<std::vector<Scenario>> ScenariosFromJson(const Json& json,
     }
   }
   if (scenarios.empty()) {
-    if (error != nullptr) {
-      *error = "no scenarios in input";
-    }
+    Fail(error, "no scenarios in input");
     return std::nullopt;
   }
   return scenarios;
@@ -1952,9 +1128,7 @@ ScenarioBuilder& ScenarioBuilder::Fleet(const FleetKnobs& knobs) {
 std::optional<Scenario> ScenarioBuilder::Build(std::string* error) const {
   std::string problem = scenario_.Validate();
   if (!problem.empty()) {
-    if (error != nullptr) {
-      *error = problem;
-    }
+    Fail(error, problem);
     return std::nullopt;
   }
   return scenario_;

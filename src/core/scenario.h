@@ -49,6 +49,15 @@ enum class StudyKind {
 std::string ToString(StudyKind kind);
 std::optional<StudyKind> ParseStudyKind(const std::string& name);
 
+// The upper bound on every instance count a scenario sets: serve and sweep
+// pools, fleet candidates, autoscaler limits and mcsim instances. A 1e6-
+// instance serve run measured about 160 B per instance, and about 250 B
+// with faults on, so a pool at the cap holds about 25 MB. A count such as
+// 2e9 would need hundreds of GB and abort the run. The cap is a fixed
+// bound, not an option, and sits over a thousand times above the largest
+// pool in the checked-in examples.
+inline constexpr int kMaxPoolInstances = 100000;
+
 // Knobs only the design study reads (subset of DesignInputs the scenario
 // layer exposes; the rest keep their documented defaults).
 struct DesignKnobs {

@@ -335,9 +335,17 @@ class Parser {
   bool ParseValue(Json& out) {
     switch (Peek()) {
       case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
+      case '[': {
+        // The parser recurses per level, so hostile nesting must fail here
+        // rather than overflow the stack.
+        if (depth_ == kMaxDepth) {
+          return FailValue("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        ++depth_;
+        bool ok = Peek() == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         return ParseString(out);
       case 't':
@@ -540,10 +548,14 @@ class Parser {
     return true;
   }
 
+  // Far above any scenario file's depth (under ten levels).
+  static constexpr int kMaxDepth = 512;
+
   const std::string& text_;
   std::string* error_;
   size_t pos_ = 0;
   int line_ = 1;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -72,7 +72,8 @@ class Json {
   std::string Dump(int indent = 2) const;
 
   // Parses `text`; on failure returns nullopt and, when `error` is non-null,
-  // a one-line description with the offending line number.
+  // a one-line description with the offending line number. Arrays and
+  // objects nest at most 512 levels deep.
   static std::optional<Json> Parse(const std::string& text, std::string* error = nullptr);
   // Reads and parses a file (error covers I/O failures too).
   static std::optional<Json> ParseFile(const std::string& path, std::string* error = nullptr);

@@ -8,11 +8,13 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/util/json.h"
@@ -436,6 +438,38 @@ TEST(CliSmoke, RobustnessKnobValidationExitsUsageError) {
   result = RunCommandMergedOutput("serve --faults " + path);
   EXPECT_EQ(result.exit_code, 64);
   EXPECT_NE(result.stdout_text.find("domain_gpus"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(CliSmoke, HostileScenarioFilesEndInFieldLabelledErrors) {
+  // Each input once crashed, hung or silently misran the CLI. Each must now
+  // end quickly in exit 1 with an error naming the field (or the JSON
+  // position). The 2e9-instance pool must hit the instance cap in the
+  // validator, before anything is allocated for it.
+  const std::string deep(200000, '[');
+  const std::vector<std::pair<std::string, std::string>> probes = {
+      {R"({"study": "yield", "yield": {"die_area_mm2": 1e999}})", "yield.die_area_mm2"},
+      {R"({"study": "mcsim", "mcsim": {"sim_years": 1e999}})", "mcsim.sim_years"},
+      {R"({"study": "serve", "serve": {"decode_instances": 2.7}})", "serve.decode_instances"},
+      {R"({"study": "serve", "serve": {"decode_instances": 5e9}})", "serve.decode_instances"},
+      {R"({"study": "serve", "serve": {"decode_instances": 2e9}})",
+       "serve.decode_instances must be in [1, 100000]"},
+      {deep, "line 1: nesting deeper than 512 levels"},
+  };
+  std::string path = ::testing::TempDir() + "litegpu_hostile.json";
+  for (const auto& [text, expected] : probes) {
+    FILE* f = fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    fputs(text.c_str(), f);
+    fclose(f);
+    auto start = std::chrono::steady_clock::now();
+    CommandResult result = RunCommandMergedOutput("run " + path + " --json");
+    double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    EXPECT_EQ(result.exit_code, 1) << expected;
+    EXPECT_NE(result.stdout_text.find(expected), std::string::npos) << result.stdout_text;
+    EXPECT_LT(seconds, 5.0) << expected;
+  }
   std::remove(path.c_str());
 }
 

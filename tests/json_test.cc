@@ -88,6 +88,25 @@ TEST(Json, ParserRejectsMalformedInputWithLineNumbers) {
   EXPECT_FALSE(Json::Parse("12abc", &error).has_value());
 }
 
+TEST(Json, ParserRejectsHostileNestingWithAPositionedError) {
+  // Deep nesting must end in a parse error, not a stack overflow.
+  std::string error;
+  EXPECT_FALSE(Json::Parse(std::string(200000, '['), &error).has_value());
+  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("nesting deeper than 512 levels"), std::string::npos) << error;
+  std::string objects;
+  for (int i = 0; i < 600; ++i) {
+    objects += "{\n\"a\": ";
+  }
+  EXPECT_FALSE(Json::Parse(objects, &error).has_value());
+  EXPECT_NE(error.find("line 513"), std::string::npos) << error;
+  // The limit leaves ordinary documents alone: 512 levels still parse.
+  std::string deep = std::string(512, '[') + std::string(512, ']');
+  auto parsed = Json::Parse(deep, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_TRUE(parsed->is_array());
+}
+
 TEST(Json, StringEscapes) {
   auto parsed = Json::Parse(R"("tab\there A\n")");
   ASSERT_TRUE(parsed.has_value());

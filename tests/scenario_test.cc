@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "src/core/scenario.h"
 #include "src/hw/catalog.h"
@@ -199,6 +203,29 @@ TEST(Scenario, FromJsonRejectsMistypedValues) {
   auto str_threads = Json::Parse(R"({"study": "yield", "exec": {"threads": "four"}})");
   EXPECT_FALSE(ScenarioFromJson(*str_threads, &error).has_value());
   EXPECT_NE(error.find("threads"), std::string::npos);
+
+  // Integer knobs take exact integers in range: no rounding, no wrap-around.
+  for (const char* text :
+       {R"({"study": "serve", "serve": {"decode_instances": 2.7}})",
+        R"({"study": "serve", "serve": {"decode_instances": 5e9}})",
+        R"({"study": "serve", "serve": {"decode_instances": -3e9}})"}) {
+    auto mistyped_int = Json::Parse(text);
+    ASSERT_TRUE(mistyped_int.has_value()) << text;
+    EXPECT_FALSE(ScenarioFromJson(*mistyped_int, &error).has_value()) << text;
+    EXPECT_NE(error.find("serve.decode_instances must be an integer"), std::string::npos)
+        << error;
+  }
+  auto negative_seed = Json::Parse(R"({"study": "mcsim", "mcsim": {"seed": -1}})");
+  EXPECT_FALSE(ScenarioFromJson(*negative_seed, &error).has_value());
+  EXPECT_NE(error.find("mcsim.seed must be an integer"), std::string::npos) << error;
+
+  // Enum knobs must be strings, not numbers.
+  auto num_policy = Json::Parse(R"({"study": "search", "kv_policy": 7})");
+  EXPECT_FALSE(ScenarioFromJson(*num_policy, &error).has_value());
+  EXPECT_NE(error.find("'kv_policy' in scenario must be a string"), std::string::npos) << error;
+  auto num_model = Json::Parse(R"({"study": "design", "design": {"yield_model": 3}})");
+  EXPECT_FALSE(ScenarioFromJson(*num_model, &error).has_value());
+  EXPECT_NE(error.find("'yield_model' in design must be a string"), std::string::npos) << error;
 }
 
 TEST(ScenarioBuilder, RejectsListsTheStudyWouldIgnore) {
@@ -786,6 +813,182 @@ TEST(Scenario, EveryCheckedInExampleLoadsValidatesAndRoundTrips) {
   EXPECT_GE(seen, 10u);  // one per study kind + the batch suite + multitenant
 }
 #endif
+
+// Every variant of `node` with one number replaced by +inf, paired with the
+// label the reader must name: "<block>.<key>", "<list>[i]" for array
+// entries that are blocks, and the list's own label for number lists.
+std::vector<std::pair<std::string, Json>> NonFiniteVariants(const Json& node,
+                                                            const std::string& label) {
+  std::vector<std::pair<std::string, Json>> variants;
+  if (node.type() == Json::Type::kNumber) {
+    variants.emplace_back(label, Json(std::numeric_limits<double>::infinity()));
+  } else if (node.is_object()) {
+    for (const auto& [key, value] : node.members()) {
+      for (auto& [leaf, replaced] :
+           NonFiniteVariants(value, label.empty() ? key : label + "." + key)) {
+        Json copy = node;
+        copy.Set(key, std::move(replaced));
+        variants.emplace_back(leaf, std::move(copy));
+      }
+    }
+  } else if (node.is_array()) {
+    for (size_t i = 0; i < node.size(); ++i) {
+      const Json& element = node.elements()[i];
+      std::string element_label =
+          element.is_object() ? label + "[" + std::to_string(i) + "]" : label;
+      for (auto& [leaf, replaced] : NonFiniteVariants(element, element_label)) {
+        Json copy = Json::Array();
+        for (size_t j = 0; j < node.size(); ++j) {
+          copy.Append(j == i ? replaced : node.elements()[j]);
+        }
+        variants.emplace_back(leaf, std::move(copy));
+      }
+    }
+  }
+  return variants;
+}
+
+TEST(Scenario, EveryNumberKnobRejectsNonFiniteValues) {
+  // Scenarios that between them emit every row of every knob table: each
+  // study block, every arrival kind, an enabled autoscaler, a faults block
+  // with every optional key set, a class mix and a fleet catalog.
+  ServeKnobs serve;
+  serve.arrival.kind = ArrivalKind::kDiurnal;
+  serve.arrival.multipliers = {0.5, 2.0};
+  serve.autoscaler.policy = AutoscalerPolicy::kReactive;
+  serve.faults = ChurnyFaultKnobs();
+  serve.faults.domain_gpus = 16.0;
+  serve.faults.domain_afr = 40.0;
+  serve.faults.domain_mttr_hours = 0.5;
+  serve.faults.degrade_afr = 30.0;
+  serve.faults.degrade_multiplier = 1.8;
+  serve.faults.degrade_minutes = 0.5;
+  serve.faults.shed_queue_depth = 8;
+  serve.faults.shed_ttft_deadline_s = 2.0;
+  serve.classes = TwoClassMix();
+  serve.shards = 2;
+  ServeKnobs onoff;
+  onoff.arrival.kind = ArrivalKind::kOnOff;
+  ServeKnobs trace;
+  trace.arrival.kind = ArrivalKind::kTrace;
+  trace.arrival.times_s = {0.5, 1.0};
+  ServeSweepKnobs sweep;
+  sweep.loads = {0.4, 0.8};
+  sweep.rates = {10.0};
+  std::vector<Scenario> scenarios = {
+      ScenarioBuilder(StudyKind::kSearch).Peek(),
+      ScenarioBuilder(StudyKind::kDesign).Peek(),
+      ScenarioBuilder(StudyKind::kMcSim).Peek(),
+      ScenarioBuilder(StudyKind::kYield).Peek(),
+      ScenarioBuilder(StudyKind::kDerive).Peek(),
+      ScenarioBuilder(StudyKind::kServe).Serve(serve).Peek(),
+      ScenarioBuilder(StudyKind::kServe).Serve(onoff).Peek(),
+      ScenarioBuilder(StudyKind::kServe).Serve(trace).Peek(),
+      ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(sweep).Peek(),
+      ScenarioBuilder(StudyKind::kFleetCompare).Fleet(FancyFleetKnobs()).Peek(),
+  };
+  std::set<std::string> labels;
+  for (const Scenario& s : scenarios) {
+    for (const auto& [label, json] : NonFiniteVariants(ScenarioToJson(s), "")) {
+      std::string error;
+      EXPECT_FALSE(ScenarioFromJson(json, &error).has_value()) << label;
+      EXPECT_NE(error.find(label + " must be"), std::string::npos) << label << ": " << error;
+      labels.insert(label);
+    }
+  }
+  // Spot-check that the walk reached every kind of table.
+  for (const char* label :
+       {"max_batch", "workload.ttft_slo_s", "design.hbm_usd_per_gb", "mcsim.sim_years",
+        "mcsim.seed", "yield.die_area_mm2", "derive.overclock", "serve.load", "serve.horizon_s",
+        "serve.shards", "serve.arrival.period_s", "serve.arrival.multipliers",
+        "serve.arrival.on_mean_s", "serve.arrival.times_s", "serve.autoscaler.headroom",
+        "serve.faults.shed_ttft_deadline_s", "serve.classes[1].tbt_slo_s", "sweep.rates",
+        "sweep.load_step", "fleet.loads", "fleet.candidates[1].overclock",
+        "fleet.gpu_utilization", "exec.threads"}) {
+    EXPECT_EQ(labels.count(label), 1u) << label;
+  }
+  EXPECT_GE(labels.size(), 90u);
+
+  // The same through the text parser: 1e999 overflows to inf.
+  for (const char* text : {R"({"study": "yield", "yield": {"die_area_mm2": 1e999}})",
+                           R"({"study": "mcsim", "mcsim": {"sim_years": 1e999}})"}) {
+    std::string error;
+    EXPECT_FALSE(ParseScenarios(text, &error).has_value()) << text;
+    EXPECT_NE(error.find("must be finite"), std::string::npos) << error;
+  }
+  // Scenarios built in code get the same rule from the validator.
+  ServeKnobs infinite;
+  infinite.load = std::numeric_limits<double>::infinity();
+  std::string error;
+  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(infinite).Build(&error).has_value());
+  EXPECT_EQ(error, "serve.load must be finite");
+}
+
+TEST(Scenario, InstanceCountsAreCapped) {
+  // Every instance-count knob stops at kMaxPoolInstances, in the validator,
+  // before anything is allocated for the pools.
+  auto huge = Json::Parse(R"({"study": "serve", "serve": {"decode_instances": 2e9}})");
+  ASSERT_TRUE(huge.has_value());
+  auto scenario = ScenarioFromJson(*huge);
+  ASSERT_TRUE(scenario.has_value());
+  EXPECT_EQ(scenario->Validate(), "serve.decode_instances must be in [1, 100000]");
+
+  ServeKnobs serve;
+  serve.decode_instances = kMaxPoolInstances;
+  serve.prefill_instances = kMaxPoolInstances;
+  std::string error;
+  EXPECT_TRUE(ScenarioBuilder(StudyKind::kServe).Serve(serve).Build(&error).has_value())
+      << error;
+  serve.prefill_instances = kMaxPoolInstances + 1;
+  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(serve).Build(&error).has_value());
+  EXPECT_EQ(error, "serve.prefill_instances must be in [0, 100000] (0 = auto-size)");
+
+  serve = ServeKnobs{};
+  serve.autoscaler.policy = AutoscalerPolicy::kReactive;
+  serve.autoscaler.max_decode_instances = kMaxPoolInstances + 1;
+  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(serve).Build(&error).has_value());
+  EXPECT_EQ(error, "serve.autoscaler.max_decode_instances must be <= 100000");
+
+  FleetKnobs fleet = FancyFleetKnobs();
+  fleet.candidates[1].decode_instances = kMaxPoolInstances + 1;
+  EXPECT_FALSE(
+      ScenarioBuilder(StudyKind::kFleetCompare).Fleet(fleet).Build(&error).has_value());
+  EXPECT_EQ(error, "fleet.candidates[1].decode_instances must be in [1, 100000]");
+
+  McSimKnobs mcsim;
+  mcsim.num_instances = kMaxPoolInstances + 1;
+  EXPECT_FALSE(ScenarioBuilder(StudyKind::kMcSim).McSim(mcsim).Build(&error).has_value());
+  EXPECT_EQ(error, "mcsim.num_instances must be in [1, 100000]");
+}
+
+TEST(Scenario, EveryBlockSuggestsTheClosestKey) {
+  for (const auto& [text, hint] : std::vector<std::pair<const char*, const char*>>{
+           {R"({"study": "search", "modles": ["Llama3-70B"]})", "models"},
+           {R"({"study": "search", "workload": {"prompt_token": 10}})", "prompt_tokens"},
+           {R"({"study": "design", "design": {"yield_modle": "murphy"}})", "yield_model"},
+           {R"({"study": "mcsim", "mcsim": {"num_trial": 2}})", "num_trials"},
+           {R"({"study": "serve", "serve": {"horizon": 30}})", "horizon_s"},
+           {R"({"study": "serve", "serve": {"faults": {"afrr": 0.1}}})", "afr"},
+           {R"({"study": "serve", "serve": {"autoscaler": {"delay": 1}}})", "delay_s"},
+           {R"({"study": "serve", "serve": {"arrival": {"kind": "trace", "time_s": []}}})",
+            "times_s"},
+           {R"({"study": "serve", "serve": {"classes": [{"nme": "a"}]}})", "name"},
+           {R"({"study": "yield", "exec": {"thread": 2}})", "threads"}}) {
+    std::string error;
+    auto json = Json::Parse(text);
+    ASSERT_TRUE(json.has_value()) << text;
+    EXPECT_FALSE(ScenarioFromJson(*json, &error).has_value()) << text;
+    EXPECT_NE(error.find(std::string("did you mean '") + hint + "'?"), std::string::npos)
+        << error;
+  }
+  // Unknown enum spellings list the choices and suggest one too.
+  std::string error;
+  auto study = Json::Parse(R"({"study": "fig3c"})");
+  EXPECT_FALSE(ScenarioFromJson(*study, &error).has_value());
+  EXPECT_NE(error.find("unknown study 'fig3c' in scenario (expected search|"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("did you mean 'fig3a'?"), std::string::npos) << error;
+}
 
 TEST(Scenario, MakeSearchOptionsCarriesWorkloadAndExec) {
   Scenario s = ScenarioBuilder(StudyKind::kSearch)

@@ -47,17 +47,19 @@ for f in examples/scenarios/*.json; do
 done
 
 # --- every study kind is documented in both references ---
-# The kind names come from ToString(StudyKind) in src/core/scenario.cc, so
-# adding a StudyKind without documenting it fails here automatically.
+# The kind names come from the kStudyNames array in src/core/scenario.cc
+# (the one names table ToString(StudyKind) reads), so adding a StudyKind
+# without documenting it fails here automatically.
 kinds=$(awk '
-  /^std::string ToString\(StudyKind kind\)/ { c = 1 }
-  c && /return "/ {
+  /kStudyNames\[\] = \{/ { c = 1 }
+  c {
     line = $0
-    sub(/.*return "/, "", line)
-    sub(/".*/, "", line)
-    if (line != "unknown") print line
+    while (match(line, /"[^"]*"/)) {
+      print substr(line, RSTART + 1, RLENGTH - 2)
+      line = substr(line, RSTART + RLENGTH)
+    }
   }
-  c && /^}/ { c = 0 }
+  c && /\};/ { c = 0 }
 ' src/core/scenario.cc)
 [ -n "$kinds" ] || err "could not extract study kinds from src/core/scenario.cc"
 for kind in $kinds; do

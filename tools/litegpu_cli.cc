@@ -31,6 +31,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <optional>
 #include <string>
 #include <utility>
@@ -669,4 +670,13 @@ int Main(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace litegpu
 
-int main(int argc, char** argv) { return litegpu::Main(argc, argv); }
+int main(int argc, char** argv) {
+  // Anything that escapes (std::bad_alloc, ...) is an error exit like any
+  // other, not an abort.
+  try {
+    return litegpu::Main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "litegpu: %s\n", e.what());
+    return 1;
+  }
+}
