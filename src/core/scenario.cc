@@ -94,9 +94,6 @@ const Block& ArrivalBlock(ArrivalKind kind);
 // kind row, so the Poisson table (that row alone) reads the tag first.
 bool ReadArrival(const Json& obj, const std::string& where, ArrivalProcess& out,
                  std::string* error) {
-  if (!obj.is_object()) {
-    return Fail(error, where + " must be an object");
-  }
   return knob::ReadFields(ArrivalBlock(ArrivalKind::kPoisson), obj, where, &out, error) &&
          ReadBlock(ArrivalBlock(out.kind), obj, where, &out, error);
 }
