@@ -2,9 +2,22 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <functional>
+#include <limits>
 
 namespace litegpu {
+
+namespace {
+
+// A refit needs this many pops behind it; fewer would make the rate
+// estimate noisy. Windows that see fewer pops accumulate into the next.
+constexpr size_t kMinRefitPops = 64;
+// One refit moves the width by at most this factor either way, so a
+// transient burst or lull cannot swing it by orders of magnitude at once.
+constexpr double kMaxRefitFactor = 64.0;
+
+}  // namespace
 
 CalendarEventQueue::CalendarEventQueue(double bucket_width, size_t buckets)
     : width_(bucket_width > 0.0 ? bucket_width : 1e-3),
@@ -16,6 +29,8 @@ void CalendarEventQueue::Reset(double bucket_width) {
   window_start_ = 0.0;
   cursor_ = 0;
   min_valid_ = false;
+  refit_pops_ = 0;
+  refit_span_s_ = 0.0;
   // Bucket capacity survives (the scratch arena reuses the queue across
   // sweep points); the run left every bucket empty.
 }
@@ -46,6 +61,7 @@ void CalendarEventQueue::AdvanceCursor() {
     // each event overflows at most once per rotation it lands in, and
     // rotations only move the window forward.
     assert(!overflow_.empty());
+    RefitWidth();
     window_start_ = overflow_.front().time_s;
     cursor_ = 0;
     size_t kept = 0;
@@ -64,6 +80,24 @@ void CalendarEventQueue::AdvanceCursor() {
   while (buckets_[cursor_].empty()) {
     ++cursor_;
   }
+}
+
+void CalendarEventQueue::RefitWidth() {
+  // Pop order never depends on the width, so this is a pure performance
+  // choice: aim for about one pop per bucket, i.e. width = span / pops.
+  refit_span_s_ += width_ * static_cast<double>(buckets_.size());
+  if (refit_pops_ < kMinRefitPops) {
+    return;
+  }
+  double fit = refit_span_s_ / static_cast<double>(refit_pops_);
+  fit = std::max(std::min(fit, width_ * kMaxRefitFactor), width_ / kMaxRefitFactor);
+  // Keep extreme widths normal and finite.
+  fit = std::min(std::max(fit, std::numeric_limits<double>::min()),
+                 std::numeric_limits<double>::max());
+  assert(std::isfinite(fit) && fit > 0.0 && "refitted bucket width must be finite and positive");
+  width_ = fit;
+  refit_pops_ = 0;
+  refit_span_s_ = 0.0;
 }
 
 void HeapEventQueue::Push(const ServeEvent& e) {

@@ -13,6 +13,12 @@
 // affects performance; correctness is golden-checked against the reference
 // heap (tests/event_queue_test.cc, bench_serve_scale).
 //
+// The width tracks the live event rate (R. Brown, "Calendar Queues", CACM
+// 1988): each time the drained window rotates, the queue refits the width
+// to about one pop per bucket over the windows since the last refit. The
+// constructor's / Reset's width only seeds the first window. A refit is
+// safe at exactly that moment because every bucket is empty.
+//
 // The queue exploits the simulator's monotonicity: every push is at or
 // after the time of the last pop (events are always scheduled at now + a
 // non-negative delay), so the window only ever rotates forward. Pushes
@@ -84,8 +90,9 @@ struct ServeEvent {
 
 class CalendarEventQueue {
  public:
-  // `bucket_width` is the time quantum; ~one expected event per bucket is
-  // ideal but any positive width is correct. `buckets` is the window size
+  // `bucket_width` is the first window's time quantum; ~one expected event
+  // per bucket is ideal but any positive width is correct, and later
+  // windows refit it to the observed pop rate. `buckets` is the window size
   // in buckets (the window spans buckets * width seconds).
   explicit CalendarEventQueue(double bucket_width = 1e-3, size_t buckets = 1024);
 
@@ -96,6 +103,8 @@ class CalendarEventQueue {
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
+  // Current bucket width (seconds), after any refits so far.
+  double width() const { return width_; }
 
   // Push/PeekTime/Pop are defined inline below: the simulator calls each
   // millions of times per point and the call overhead is measurable.
@@ -112,6 +121,9 @@ class CalendarEventQueue {
   // cursor_ (rotating the window over the overflow heap when the in-window
   // buckets drain). Requires size_ > 0.
   void AdvanceCursor();
+  // Called by AdvanceCursor with every bucket empty: refits width_ to the
+  // pop rate seen since the last refit.
+  void RefitWidth();
   // Position of the minimum event within bucket `b` (full comparator).
   size_t MinInBucket(size_t b) const;
   size_t BucketIndex(double t) const;
@@ -123,6 +135,11 @@ class CalendarEventQueue {
   std::vector<ServeEvent> overflow_;  // min-heap, events >= window end
   size_t in_window_ = 0;              // events currently bucketed
   size_t size_ = 0;
+  // Refit statistics since the last refit: pops, and the simulated time
+  // the drained windows spanned (gaps between windows held no events and
+  // are left out, so a burst after a lull is measured at its own rate).
+  size_t refit_pops_ = 0;
+  double refit_span_s_ = 0.0;
   // Cached location of the minimum, valid between a PeekTime and the next
   // Pop (a Push can only move it to the pushed event). Saves the bucket
   // re-scan on the ubiquitous peek-then-pop sequence.
@@ -188,6 +205,7 @@ inline ServeEvent CalendarEventQueue::Pop() {
   bucket.pop_back();
   --in_window_;
   --size_;
+  ++refit_pops_;
   min_valid_ = false;
   return e;
 }

@@ -1,17 +1,26 @@
-// The million-request serving core. Three structural changes over the
+// The million-request serving core. Four structural changes over the
 // reference implementation (simulator_reference.cc, kept for identity and
 // speedup gates), none of which may change any metric:
 //
 //  * Calendar event queue (src/serve/event_queue.h) instead of a binary
 //    heap. Pop order is the same fully-specified (time, kind, instance)
 //    order by construction — buckets partition time, ties share a bucket
-//    and are resolved by the full comparator.
+//    and are resolved by the full comparator. TableStepper::HintWidth
+//    seeds the first window's bucket width; the queue then refits the
+//    width to the live event rate at every window rotation, so an
+//    autoscaled pool that grows 50x keeps about one event per bucket.
 //
 //  * Structure-of-arrays hot state. Requests arrive as a RequestSoA
 //    (column per field), per-instance state is split into a hot status
 //    byte per instance (the scheduling scans test one byte) plus parallel
 //    cold arrays, and all per-point scratch lives in a thread-local arena
 //    reused across sweep points, so points stop churning the allocator.
+//
+//  * Ready-bit dispatch. Per-word ready bitmasks let the dispatch loops
+//    visit only instances that can take work, and the decode scan stops at
+//    an empty decode queue: after every event no ready decode instance
+//    holds work, so only the instance whose step just finished can still
+//    have a step to start (asserted in Debug builds).
 //
 //  * O(completions) decode bookkeeping. The reference decrements every
 //    active sequence's remaining-token counter each step — O(batch) per
@@ -81,8 +90,9 @@ namespace {
 // Step-time providers for the shared event loop. Both answer the same two
 // questions; the table one compiles down to an array load, the callback one
 // pays std::function dispatch (and whatever the callback itself does).
-// HintWidth suggests a calendar-queue bucket width near the typical
-// inter-event gap — a pure performance hint, pop order never depends on it.
+// HintWidth seeds the calendar queue's first-window bucket width near the
+// typical inter-event gap (later windows refit it to the observed rate) —
+// a pure performance hint, pop order never depends on it.
 struct TableStepper {
   const StepTimeTable& table;
   double PrefillTime(int batch) const { return table.PrefillTime(batch); }
@@ -700,18 +710,45 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     }
   };
 
-  auto try_start_decode_step = [&](double t) {
+  auto decode_holds_work = [&](int i) {
+    return exact_slots ? !S.d_remaining[static_cast<size_t>(i)].empty()
+                       : S.d_active_count[i] > 0;
+  };
+  auto decode_ready = [&](int i) {
+    return (S.d_ready[static_cast<size_t>(i) >> 6] >> (static_cast<unsigned>(i) & 63)) & 1;
+  };
+
+  // Dispatch invariant: after every event, no ready decode instance holds
+  // work — work only enters an instance inside try_start_decode_step_at,
+  // which starts a step on it at once, and an instance is only left ready
+  // with work by its own step completion, which dispatches. So with the
+  // decode queue empty, every ready instance but the one whose step just
+  // finished (`finished`, or -1) would admit nothing and return on
+  // batch == 0: the scan stops there and starts `finished` alone.
+  auto try_start_decode_step = [&](double t, int finished) {
     // Ascending-bit scan = the plain loop's ascending index order; skipped
     // instances (busy, down, or inactive) were pure no-ops there.
-    for (size_t w = 0; w < S.d_ready.size(); ++w) {
+    for (size_t w = 0; w < S.d_ready.size() && !decode_queue.empty(); ++w) {
       uint64_t bits = S.d_ready[w];
-      while (bits != 0) {
+      while (bits != 0 && !decode_queue.empty()) {
         int i = static_cast<int>((w << 6) +
                                  static_cast<size_t>(__builtin_ctzll(bits)));
         bits &= bits - 1;
         try_start_decode_step_at(t, i);
       }
     }
+    // Starting it after the scan instead of at its index is equivalent:
+    // with the queue empty it admits nothing, and its step event is
+    // ordered by the event queue's full comparator, not by push order.
+    if (finished >= 0 && decode_ready(finished) && decode_holds_work(finished)) {
+      try_start_decode_step_at(t, finished);
+    }
+#ifndef NDEBUG
+    for (int i = 0; i < static_cast<int>(S.d_state.size()); ++i) {
+      assert(!(decode_ready(i) && decode_holds_work(i)) &&
+             "decode dispatch left a ready instance holding work");
+    }
+#endif
   };
 
   // --- autoscaler actions ---
@@ -736,9 +773,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     metrics.scale_events.push_back({now, ScalePool::kDecode, -1, active_decode, reason});
   };
   auto decode_idle_empty = [&](int i) {
-    bool no_work = exact_slots ? S.d_remaining[static_cast<size_t>(i)].empty()
-                               : S.d_active_count[i] == 0;
-    return no_work && !(S.d_state[i] & kBusy);
+    return !decode_holds_work(i) && !(S.d_state[i] & kBusy);
   };
   // Pick the highest-index live instance: the most recently provisioned
   // capacity leaves first, keeping the initial pool stable.
@@ -1049,8 +1084,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     }
     if (!work_left) {
       for (size_t i = 0; i < S.d_state.size(); ++i) {
-        bool has_work = exact_slots ? !S.d_remaining[i].empty() : S.d_active_count[i] > 0;
-        if ((S.d_state[i] & kBusy) || has_work) {
+        if ((S.d_state[i] & kBusy) || decode_holds_work(static_cast<int>(i))) {
           work_left = true;
           break;
         }
@@ -1256,7 +1290,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
           retire_decode(i, S.d_drain_reason[i]);
         }
       }
-      try_start_decode_step(now);
+      try_start_decode_step(now, i);
       continue;
     }
     if (event.kind == ServeEventKind::kPrefillDone) {
@@ -1287,7 +1321,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         retire_prefill(i, S.p_drain_reason[i]);
       }
       try_start_prefill(now);
-      try_start_decode_step(now);
+      try_start_decode_step(now, -1);
       continue;
     }
 
@@ -1428,7 +1462,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
                                         decode_spares_free});
         schedule_next_failure(ScalePool::kDecode, i, now, S.d_epoch[i]);
         schedule_next_degrade(ScalePool::kDecode, i, now, S.d_epoch[i]);
-        try_start_decode_step(now);
+        try_start_decode_step(now, -1);
       }
       continue;
     }
@@ -1477,7 +1511,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
           schedule_new_domains(ScalePool::kDecode, now);
           schedule_next_degrade(ScalePool::kDecode, slot, now, 0);
         }
-        try_start_decode_step(now);
+        try_start_decode_step(now, -1);
       }
       continue;
     }

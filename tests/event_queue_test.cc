@@ -2,7 +2,8 @@
 // exactly the fully-specified (time, kind, instance) order of the
 // reference binary heap, for any bucket width and window size — including
 // colliding timestamps, full-key duplicates, pushes into already-skimmed
-// buckets, overflow re-bucketing, and window rotation. The simulator's
+// buckets, overflow re-bucketing, window rotation, and the width refits
+// that rotation triggers as the event rate ramps. The simulator's
 // only scheduling contract is "never push earlier than the last pop", so
 // the randomized driver respects exactly that and nothing else.
 
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -206,6 +208,78 @@ TEST(CalendarEventQueue, PeekThenPopReturnsThePeekedEvent) {
   EXPECT_EQ(static_cast<int>(q.Pop().kind), 2);
   EXPECT_EQ(static_cast<int>(q.Pop().kind), 5);
   EXPECT_EQ(q.Pop().instance, 2);
+}
+
+// Traffic whose rate ramps sparse -> 50x dense -> sparse across many
+// window rotations, so the width refits both down and back up. Every pop
+// must still match the heap, and the width must track the live rate.
+TEST(CalendarEventQueue, DensityRampMatchesHeapAndTracksTheRate) {
+  constexpr double kSparseGapS = 1e-2;
+  constexpr double kDenseGapS = kSparseGapS / 50.0;
+  constexpr size_t kBuckets = 256;
+  constexpr size_t kPendingDepth = 40;  // events in flight, like a busy pool
+  // Seeded with the sparse gap: the first window starts at the right rate.
+  CalendarEventQueue calendar(kSparseGapS, kBuckets);
+  HeapEventQueue heap;
+  constexpr int kFarInstance = 64;  // near events use instances 0..63
+  uint64_t rng = 2024;
+  double next_t = 0.0;
+  size_t pops = 0;
+  size_t far_pending = 0;
+  double prev_width = calendar.width();
+  auto pop_and_compare = [&] {
+    ASSERT_EQ(calendar.size(), heap.size());
+    EXPECT_EQ(calendar.PeekTime(), heap.PeekTime());
+    ServeEvent expected = heap.Pop();
+    ExpectSameEvent(calendar.Pop(), expected, pops++);
+    if (expected.instance == kFarInstance) {
+      --far_pending;
+    }
+    // Each refit stays inside the clamp: at most 64x either way.
+    double w = calendar.width();
+    ASSERT_TRUE(std::isfinite(w));
+    ASSERT_GT(w, 0.0);
+    EXPECT_LE(w, prev_width * 64.0) << "pop " << pops;
+    EXPECT_GE(w, prev_width / 64.0) << "pop " << pops;
+    prev_width = w;
+  };
+  // Exponential gaps at the phase's mean; a few far-future events (a
+  // failure scheduled at the horizon, say) ride the overflow heap without
+  // counting toward the in-flight depth, so pops never run ahead of pushes.
+  auto run_phase = [&](double mean_gap_s, int events) {
+    for (int k = 0; k < events; ++k) {
+      double u = (static_cast<double>(SplitMix64(rng) >> 11) + 0.5) / 9007199254740992.0;
+      next_t += -mean_gap_s * std::log(u);
+      ServeEvent e = MakeEvent(next_t, static_cast<int>(SplitMix64(rng) % 11),
+                               static_cast<int>(SplitMix64(rng) % 64));
+      calendar.Push(e);
+      heap.Push(e);
+      if (SplitMix64(rng) % 100 == 0) {
+        ServeEvent far =
+            MakeEvent(next_t + 500.0 * kSparseGapS * kBuckets, 0, kFarInstance);
+        calendar.Push(far);
+        heap.Push(far);
+        ++far_pending;
+      }
+      while (heap.size() > kPendingDepth + far_pending) {
+        pop_and_compare();
+      }
+    }
+  };
+  // Each phase spans dozens of windows at its own fitted width.
+  run_phase(kSparseGapS, 20000);
+  EXPECT_NEAR(std::log2(calendar.width() / kSparseGapS), 0.0, 1.0);
+  run_phase(kDenseGapS, 100000);
+  // After the dense stretch the width sits within 2x of 1 / pop rate.
+  EXPECT_NEAR(std::log2(calendar.width() / kDenseGapS), 0.0, 1.0);
+  run_phase(kSparseGapS, 20000);
+  // A lull refits the width back up, even though one window at the dense
+  // width holds too few pops to refit on its own.
+  EXPECT_NEAR(std::log2(calendar.width() / kSparseGapS), 0.0, 1.0);
+  while (!heap.empty()) {
+    pop_and_compare();
+  }
+  EXPECT_TRUE(calendar.empty());
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "src/hw/catalog.h"
 #include "src/reliability/failure_model.h"
 #include "src/serve/simulator.h"
+#include "src/serve/simulator_reference.h"
 #include "src/serve/workload.h"
 
 namespace litegpu {
@@ -259,8 +260,8 @@ TEST(SimulatorFaults, RetryBudgetFallsBetweenRetryAndDrop) {
   EXPECT_EQ(z.completed_requests + z.dropped_requests, z.admitted_requests);
 }
 
-TEST(SimulatorFaults, FaultLogBitIdenticalOnTableAndCallbackPaths) {
-  ServeCallbacks cb = SimpleCallbacks();
+// The dense step-time table holding exactly the callbacks' values.
+StepTimeTable TableOf(const ServeCallbacks& cb) {
   std::vector<double> prefill_s, decode_s;
   for (int b = 1; b <= cb.max_prefill_batch; ++b) {
     prefill_s.push_back(cb.prefill_time(b));
@@ -268,7 +269,12 @@ TEST(SimulatorFaults, FaultLogBitIdenticalOnTableAndCallbackPaths) {
   for (int b = 1; b <= cb.max_decode_batch; ++b) {
     decode_s.push_back(cb.decode_step_time(b));
   }
-  StepTimeTable table(std::move(prefill_s), std::move(decode_s));
+  return StepTimeTable(std::move(prefill_s), std::move(decode_s));
+}
+
+TEST(SimulatorFaults, FaultLogBitIdenticalOnTableAndCallbackPaths) {
+  ServeCallbacks cb = SimpleCallbacks();
+  StepTimeTable table = TableOf(cb);
 
   auto requests = FixedRequests(400, 0.01, 32);
   ServeClusterConfig config;
@@ -380,14 +386,7 @@ TEST(SimulatorFaults, ThreeAxisLogsBitIdenticalOnTableAndCallbackPaths) {
   // Domains + degradation + shedding all on: fault and shed logs must stay
   // element-wise identical between the dense-table and callback paths.
   ServeCallbacks cb = SimpleCallbacks();
-  std::vector<double> prefill_s, decode_s;
-  for (int b = 1; b <= cb.max_prefill_batch; ++b) {
-    prefill_s.push_back(cb.prefill_time(b));
-  }
-  for (int b = 1; b <= cb.max_decode_batch; ++b) {
-    decode_s.push_back(cb.decode_step_time(b));
-  }
-  StepTimeTable table(std::move(prefill_s), std::move(decode_s));
+  StepTimeTable table = TableOf(cb);
 
   auto requests = FixedRequests(400, 0.005, 32);
   ServeClusterConfig config;
@@ -580,6 +579,95 @@ TEST(SimulatorShedding, DisabledSheddingMatchesBaseline) {
   EXPECT_EQ(off.makespan_s, on.makespan_s);
   EXPECT_EQ(off.output_tokens, on.output_tokens);
   EXPECT_EQ(off.completed_requests, on.completed_requests);
+}
+
+TEST(SimulatorFaults, RampingPoolMatchesReferenceCore) {
+  // One autoscaled, faulted point whose decode pool grows from 1 to 16+
+  // instances: the table path must match the reference core on the fault
+  // and scale logs, the per-class counts, and the retry and shed totals.
+  // This pins the decode dispatch scan's early exit and the calendar
+  // queue's width refits to the reference while the event rate climbs with
+  // the pool.
+  ServeCallbacks cb;
+  cb.prefill_time = [](int batch) { return 0.02 * batch; };
+  cb.decode_step_time = [](int batch) { return 0.02 + 2e-3 * batch; };
+  cb.max_prefill_batch = 16;
+  cb.max_decode_batch = 8;
+  StepTimeTable table = TableOf(cb);
+
+  std::vector<Request> requests = FixedRequests(2000, 0.01, 64);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].class_id = static_cast<int>(i % 3 == 0);
+  }
+  ServeClusterConfig config;
+  config.prefill_instances = 2;
+  config.decode_instances = 1;
+  config.horizon_s = 20.0;
+  config.num_classes = 2;
+  config.autoscaler.enabled = true;
+  config.autoscaler.interval_s = 1.0;
+  config.autoscaler.delay_s = 1.0;
+  config.autoscaler.prefill_tokens_per_s = 1500.0 * 50.0;
+  config.autoscaler.decode_tokens_per_s = 8.0 / cb.decode_step_time(8);
+  config.faults.enabled = true;
+  config.faults.prefill_failure_rate_per_s = 0.05;
+  config.faults.decode_failure_rate_per_s = 0.05;
+  config.faults.repair_s = 2.0;
+  config.faults.spare_activation_s = 0.2;
+  config.faults.decode_spares = 2;
+  config.faults.retry_policy = FaultRetryPolicy::kRetry;
+  config.faults.seed = FaultSubstreamSeed(42);
+  config.shedding.max_queue_depth = 20;
+
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
+  EXPECT_GE(a.peak_decode_instances, 16);
+  EXPECT_GT(a.retried_requests, 0);
+  EXPECT_GT(a.shed_requests, 0);
+  EXPECT_EQ(a.peak_decode_instances, b.peak_decode_instances);
+  EXPECT_EQ(a.admitted_requests, b.admitted_requests);
+  EXPECT_EQ(a.completed_requests, b.completed_requests);
+  EXPECT_EQ(a.retried_requests, b.retried_requests);
+  EXPECT_EQ(a.dropped_requests, b.dropped_requests);
+  EXPECT_EQ(a.shed_requests, b.shed_requests);
+  EXPECT_EQ(a.lost_tokens, b.lost_tokens);
+  EXPECT_EQ(a.output_tokens, b.output_tokens);
+  EXPECT_EQ(a.makespan_s, b.makespan_s);
+  EXPECT_EQ(a.decode_instance_seconds, b.decode_instance_seconds);
+  ASSERT_EQ(a.per_class.size(), b.per_class.size());
+  for (size_t c = 0; c < a.per_class.size(); ++c) {
+    EXPECT_EQ(a.per_class[c].admitted_requests, b.per_class[c].admitted_requests) << c;
+    EXPECT_EQ(a.per_class[c].completed_requests, b.per_class[c].completed_requests) << c;
+    EXPECT_EQ(a.per_class[c].in_flight_at_horizon, b.per_class[c].in_flight_at_horizon) << c;
+    EXPECT_EQ(a.per_class[c].output_tokens, b.per_class[c].output_tokens) << c;
+  }
+  ASSERT_EQ(a.scale_events.size(), b.scale_events.size());
+  for (size_t i = 0; i < a.scale_events.size(); ++i) {
+    const ScaleEvent& x = a.scale_events[i];
+    const ScaleEvent& y = b.scale_events[i];
+    EXPECT_EQ(x.time_s, y.time_s) << i;
+    EXPECT_EQ(x.pool, y.pool) << i;
+    EXPECT_EQ(x.delta, y.delta) << i;
+    EXPECT_EQ(x.instances_after, y.instances_after) << i;
+    EXPECT_EQ(x.reason, y.reason) << i;
+  }
+  ASSERT_EQ(a.fault_events.size(), b.fault_events.size());
+  for (size_t i = 0; i < a.fault_events.size(); ++i) {
+    const FaultEvent& x = a.fault_events[i];
+    const FaultEvent& y = b.fault_events[i];
+    EXPECT_EQ(x.time_s, y.time_s) << i;
+    EXPECT_EQ(x.kind, y.kind) << i;
+    EXPECT_EQ(x.pool, y.pool) << i;
+    EXPECT_EQ(x.instance, y.instance) << i;
+    EXPECT_EQ(x.killed_requests, y.killed_requests) << i;
+    EXPECT_EQ(x.lost_tokens, y.lost_tokens) << i;
+    EXPECT_EQ(x.spares_free, y.spares_free) << i;
+  }
+  ASSERT_EQ(a.shed_events.size(), b.shed_events.size());
+  for (size_t i = 0; i < a.shed_events.size(); ++i) {
+    EXPECT_EQ(a.shed_events[i].time_s, b.shed_events[i].time_s) << i;
+    EXPECT_EQ(a.shed_events[i].request, b.shed_events[i].request) << i;
+  }
 }
 
 TEST(SimulatorFaults, RerunsAreDeterministic) {
