@@ -34,11 +34,18 @@
 //   8. The checked-in 19-point load grid (10%..100%, 30 s horizon), each
 //      point run on both cores: summed reference wall vs summed new wall,
 //      exact per-point identity, speedup > 1 gated.
-//   9. A fleet-compare catalog where candidates share resolved parts: the
+//   9. A three-axis robustness point (failure domains, degraded states and
+//      shedding on top of section 5's churn): fault and shed logs identical
+//      across the callback, table and reference paths.
+//  10. A fleet-compare catalog where candidates share resolved parts: the
 //      study must build exactly one ServePlatform (search + StepTimeTable)
 //      per distinct (model, GPU) pair — `platform_builds` equals the
 //      distinct part count, gated — and a candidate that only widens the
 //      pool must see exactly proportional analytic capacity.
+//  11. A low-load, faulted, long-output point: the decode queue is mostly
+//      empty, so decode steps run coalesced and failures and degrade
+//      windows keep interrupting the runs. The new core must match the
+//      reference core exactly (metrics, fault log).
 //
 // `--json` emits one JSON object (CI tees it into BENCH_serve_scale.json)
 // and the exit code gates regressions: nonzero when any speedup gate is
@@ -532,11 +539,52 @@ int main(int argc, char** argv) {
   bool fleet_ok = fleet_run.ok && fleet_feasible == 4 && fleet_shared_builds &&
                   fleet_capacity_scales;
 
+  // --- 11. low-load, faulted, long-output point, reference vs new core ----
+  // Two decode instances at 20% of their analytic capacity with ~1k-token
+  // outputs: nearly every decode step sits in a coalesced run, and decode
+  // failures and degrade windows land inside those runs.
+  WorkloadSpec quiet_spec;
+  quiet_spec.median_output_tokens = 1024;
+  quiet_spec.output_sigma = 0.5;
+  quiet_spec.arrival_rate_per_s = 0.2 * 2.0 * decode.best.result.tokens_per_s /
+                                  static_cast<double>(quiet_spec.median_output_tokens);
+  quiet_spec.duration_s = 120.0;
+  quiet_spec.seed = 77;
+  std::vector<Request> quiet_requests = GenerateWorkload(quiet_spec);
+  ServeClusterConfig quiet = faulty;
+  quiet.prefill_instances = std::max(
+      1, static_cast<int>(std::ceil(1.25 * quiet_spec.arrival_rate_per_s *
+                                    quiet_spec.median_prompt_tokens /
+                                    prefill.best.result.tokens_per_s)));
+  quiet.decode_instances = 2;
+  quiet.horizon_s = quiet_spec.duration_s;
+  quiet.faults.decode_failure_rate_per_s = 0.03;
+  quiet.faults.degraded.decode_rate_per_s = 0.05;
+  quiet.faults.degraded.multiplier = 2.0;
+  quiet.faults.degraded.mean_duration_s = 5.0;
+  t0 = std::chrono::steady_clock::now();
+  ServeMetrics quiet_ref = RunServeSimulationReference(quiet_requests, quiet, table);
+  double quiet_ref_s = SecondsSince(t0);
+  t0 = std::chrono::steady_clock::now();
+  ServeMetrics quiet_new = RunServeSimulation(quiet_requests, quiet, table);
+  double quiet_new_s = SecondsSince(t0);
+  int quiet_decode_kills = 0;
+  for (const FaultEvent& e : quiet_new.fault_events) {
+    if (e.kind == FaultEventKind::kFailure && e.pool == ScalePool::kDecode) {
+      quiet_decode_kills += e.killed_requests;
+    }
+  }
+  bool quiet_identical = quiet_decode_kills > 0 && quiet_new.degrade_windows > 0 &&
+                         fault_logs_match(quiet_ref, quiet_new) &&
+                         MetricsIdentical(quiet_ref, quiet_new) &&
+                         quiet_ref.retried_requests == quiet_new.retried_requests &&
+                         quiet_ref.lost_tokens == quiet_new.lost_tokens;
+
   bool pass = inner_speedup > 1.0 && identical && autoscale_identical &&
               fault_identical && zero_afr_within_budget && sweep_report.ok &&
               reference_identical && million_identical && million_speedup > 1.0 &&
               shard_sane && grid_identical && grid_speedup > 1.0 &&
-              axes_off_zeroed && chaos_identical && fleet_ok;
+              axes_off_zeroed && chaos_identical && fleet_ok && quiet_identical;
 
   if (json) {
     Json inner = Json::Object();
@@ -618,6 +666,14 @@ int main(int argc, char** argv) {
         .Set("new_core_s", grid_new_s)
         .Set("speedup", grid_speedup)
         .Set("identity", grid_identical);
+    Json quiet_json = Json::Object();
+    quiet_json.Set("requests", static_cast<uint64_t>(quiet_requests.size()))
+        .Set("decode_steps", static_cast<uint64_t>(quiet_new.tbt_s.count()))
+        .Set("decode_killed_requests", quiet_decode_kills)
+        .Set("degrade_windows", quiet_new.degrade_windows)
+        .Set("reference_core_s", quiet_ref_s)
+        .Set("new_core_s", quiet_new_s)
+        .Set("identity", quiet_identical);
     Json j = Json::Object();
     j.Set("inner_loop", std::move(inner))
         .Set("full_sim", std::move(sim))
@@ -630,6 +686,7 @@ int main(int argc, char** argv) {
         .Set("robustness", std::move(robustness))
         .Set("fleet", std::move(fleet_json))
         .Set("sweep_core", std::move(sweep_core))
+        .Set("low_load_faulted", std::move(quiet_json))
         .Set("pass", pass);
     std::printf("%s\n", j.Dump().c_str());
   } else {
@@ -688,6 +745,12 @@ int main(int argc, char** argv) {
                 "identity: %s\n",
                 grid_ref_s, grid_new_s, grid_speedup,
                 grid_identical ? "OK" : "FAILED");
+    std::printf("\nlow-load faulted long-output point (%zu requests, %zu decode steps, "
+                "%d decode kills, %d degrade windows):\n"
+                "  reference: %.3f s   new: %.3f s   identity: %s\n",
+                quiet_requests.size(), quiet_new.tbt_s.count(), quiet_decode_kills,
+                quiet_new.degrade_windows, quiet_ref_s, quiet_new_s,
+                quiet_identical ? "OK" : "FAILED");
   }
   return pass ? 0 : 1;
 }

@@ -68,10 +68,14 @@ struct ServeEvent {
   double time_s = 0.0;
   ServeEventKind kind = ServeEventKind::kPrefillDone;
   int instance = 0;
-  // Instance lifecycle epoch at scheduling time (fault runs only): a
-  // failure bumps its instance's epoch, so completion and failure events
-  // scheduled before it are discarded as stale on pop. Always 0 with
-  // faults disabled; deliberately not part of the ordering.
+  // Staleness token at scheduling time; deliberately not part of the
+  // ordering. Decode step-done events carry the instance's step token,
+  // which moves whenever a newer step-done event replaces the pending one
+  // (a coalesced run cut short) or a failure kills the step, in every run.
+  // Prefill completions, failures, degrade transitions and recoveries
+  // carry the instance's lifecycle epoch instead (fault runs only; 0
+  // otherwise): a failure bumps it, so those events scheduled before it are
+  // discarded as stale on pop.
   int epoch = 0;
   // Full ordering so simultaneous events pop in a specified order —
   // (time, kind, instance/sequence) — instead of any container's internal

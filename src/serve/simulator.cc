@@ -1,4 +1,4 @@
-// The million-request serving core. Four structural changes over the
+// The million-request serving core. Five structural changes over the
 // reference implementation (simulator_reference.cc, kept for identity and
 // speedup gates), none of which may change any metric:
 //
@@ -26,15 +26,25 @@
 //    active sequence's remaining-token counter each step — O(batch) per
 //    step, O(total tokens) per run, the dominant cost at 1M requests. A
 //    sequence joining with R tokens left when its instance has completed S
-//    steps finishes exactly when the step counter reaches S + R, so a
-//    per-instance min-heap of packed (finish_step, class) completions does
+//    steps finishes exactly when the step count reaches S + R, so a
+//    per-instance min-heap of packed (finish_step, request) completions does
 //    the same accounting in O(log batch) per request. Per-step metrics
 //    (tokens emitted, per-class TBT) come from incrementally maintained
 //    active counts — integer arithmetic, so the sums are bit-identical to
-//    the reference's recomputation. Fault runs keep the reference's exact
-//    slot arrays and decrement loop instead: a failure's requeue order
-//    depends on the historical swap-remove permutation, which the heap
-//    does not preserve.
+//    the reference's recomputation. Fault runs use the same heap and also
+//    keep each instance's slot array in the reference's order, because a
+//    failure requeues its victims in slot order: at a step with
+//    completions, the finished slots' positions are visited in ascending
+//    order, each taking the back slot until it holds an unfinished one —
+//    the reference's swap-remove pass in O(completions * log).
+//
+//  * Decode-step coalescing. A step that starts with the decode queue
+//    empty cannot change its instance's batch before the next completion,
+//    so the instance pushes one event for the whole run, at the end of the
+//    completing step, and replays the skipped steps' accounting lazily
+//    (catch_up) when a prefill landing, failure, degrade transition or
+//    autoscaler tick needs it. The event loop costs O(completions +
+//    interruptions) instead of O(token steps).
 
 #include "src/serve/simulator.h"
 
@@ -163,13 +173,22 @@ class IndexQueue {
   size_t head_ = 0;
 };
 
-// Packed decode completion: (finish_step << 16) | class. finish_step is
-// the instance step count at which the sequence emits its last token;
-// class rides along for per-class completion accounting. Plain uint64
-// ordering puts the earliest finish first (ties tie on class, which is
-// fine — all per-completion metric updates commute within a step).
-constexpr int kCompletionClassBits = 16;
-constexpr uint64_t kCompletionClassMask = (1ULL << kCompletionClassBits) - 1;
+// Packed decode completion: (finish_step << request_bits) | request, with
+// request_bits just wide enough for the run's request indices. finish_step
+// is the instance step count at which the sequence emits its last token;
+// the request index rides along for per-class accounting and, in fault
+// runs, the slot-order replay. Plain uint64 ordering puts the earliest
+// finish first (ties tie on request index, which is fine — all
+// per-completion metric updates commute within a step).
+int CompletionRequestBits(size_t num_requests) {
+  return num_requests > 1 ? 64 - __builtin_clzll(static_cast<uint64_t>(num_requests - 1)) : 1;
+}
+
+// One active decode sequence in a fault run's slot array.
+struct DecodeSlot {
+  int request;
+  uint64_t finish_step;
+};
 
 // Per-point scratch, reused across runs on the same thread so sweep points
 // and shards stop churning the allocator: vectors are cleared, not freed.
@@ -199,20 +218,33 @@ struct SimScratch {
   std::vector<uint8_t> d_via_spare;
   std::vector<const char*> d_drain_reason;
   std::vector<double> d_degrade_mult, d_degrade_since;
-  // Fast mode (faults off): completion min-heaps + incremental counts.
+  // Completion min-heaps + incremental counts: O(log batch) per request
+  // instead of O(batch) per step.
   std::vector<uint64_t> d_step_count;
   std::vector<int> d_active_count;
   std::vector<std::vector<uint64_t>> d_heap;
   std::vector<int> class_active;  // [instance * num_classes + class]
-  // Exact-slot mode (faults on): the reference's parallel slot arrays,
-  // preserved verbatim because failure requeue order depends on the
-  // swap-remove permutation they accumulate.
-  std::vector<std::vector<int>> d_remaining;
-  std::vector<std::vector<int>> d_request_index;
+  // Step token: bumped whenever a step-done event is pushed or a failure
+  // kills the step in flight, so a popped event is live iff its token
+  // matches. Separate from d_epoch, which also guards pending failure and
+  // degrade events and must not move when a coalesced run is cut.
+  std::vector<uint32_t> d_step_token;
+  // Decode-step coalescing: a bit in d_coalesced marks an instance whose
+  // live step-done event stands for a run of steps; for such a run, the
+  // skipped steps catch_up has not replayed yet and the time of the run's
+  // final (real) step.
+  std::vector<uint64_t> d_run_left;
+  std::vector<double> d_run_end;
+  std::vector<uint64_t> d_coalesced;
+  // Fault runs only: the slot array in the reference engine's order (its
+  // swap-remove permutation fixes the requeue order of a killed batch),
+  // each request's position in it, and scratch for the replay.
+  std::vector<std::vector<DecodeSlot>> d_slots;
+  std::vector<int> slot_pos;
+  std::vector<int> finished_pos;
 
   std::vector<uint8_t> ttft_recorded;
   std::vector<int> retry_counts;
-  std::vector<size_t> step_class_counts;
 
   // Ready bitmasks: bit i set iff instance i currently passes the
   // try_start_* status check (prefill: state byte zero; decode: neither
@@ -265,12 +297,15 @@ struct SimScratch {
     d_degrade_since.push_back(-1.0);
     d_step_count.push_back(0);
     d_active_count.push_back(0);
+    d_step_token.push_back(0);
+    d_run_left.push_back(0);
+    d_run_end.push_back(0.0);
+    if (d_coalesced.size() <= (i >> 6)) {
+      d_coalesced.push_back(0);
+    }
     if (d_heap.size() < d_state.size()) {
       d_heap.emplace_back();
-    }
-    if (d_remaining.size() < d_state.size()) {
-      d_remaining.emplace_back();
-      d_request_index.emplace_back();
+      d_slots.emplace_back();
     }
     if (num_classes > 0) {
       class_active.resize(d_state.size() * static_cast<size_t>(num_classes), 0);
@@ -313,23 +348,22 @@ struct SimScratch {
     d_step_count.clear();
     d_active_count.clear();
     d_heap.resize(static_cast<size_t>(n_decode));
-    for (auto& h : d_heap) {
-      h.clear();
-    }
-    d_remaining.resize(static_cast<size_t>(n_decode));
-    d_request_index.resize(static_cast<size_t>(n_decode));
-    for (auto& r : d_remaining) {
-      r.clear();
-    }
-    for (auto& r : d_request_index) {
-      r.clear();
+    d_slots.resize(static_cast<size_t>(n_decode));
+    for (size_t i = 0; i < d_heap.size(); ++i) {
+      d_heap[i].clear();
+      d_slots[i].clear();
     }
     class_active.clear();
+    d_step_token.clear();
+    d_run_left.clear();
+    d_run_end.clear();
+    d_coalesced.clear();
+    slot_pos.clear();
+    finished_pos.clear();
     p_ready.clear();
     d_ready.clear();
     ttft_recorded.clear();
     retry_counts.clear();
-    step_class_counts.assign(num_classes > 0 ? static_cast<size_t>(num_classes) : 0, 0);
     for (int i = 0; i < n_prefill; ++i) {
       AddPrefill(0.0);
     }
@@ -353,10 +387,13 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   }
 
   const size_t nreq = requests.size();
+  const int request_bits = CompletionRequestBits(nreq);
+  const uint64_t request_mask = (1ULL << request_bits) - 1;
   const bool faults_enabled = config.faults.enabled;
-  // Fault runs keep the reference's exact slot arrays: the requeue order of
-  // a killed batch is the slot order, which earlier swap-removes permuted.
-  const bool exact_slots = faults_enabled;
+  // Fault runs also keep each decode instance's slot order: the requeue
+  // order of a killed batch is the slot order, which earlier swap-removes
+  // permuted.
+  const bool track_slots = faults_enabled;
   const bool stream_ttft = config.stream_ttft;
   // The three robustness axes (all dormant by default): correlated failure
   // domains and degraded states ride on the fault engine; shedding guards
@@ -514,6 +551,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       }
     }
     S.ttft_recorded.assign(nreq, 0);
+    S.slot_pos.assign(nreq, 0);
   }
 
   // Per-class bookkeeping only exists when the caller asked for it, so
@@ -651,69 +689,177 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     }
   };
 
-  auto try_start_decode_step_at = [&](double t, int i) {
-    const int max_batch = stepper.MaxDecodeBatch();
-    {
-      // Admit waiting sequences at the step boundary (draining instances
-      // only finish what they already hold).
-      if (!(S.d_state[i] & kDraining)) {
-        if (exact_slots) {
-          std::vector<int>& remaining = S.d_remaining[static_cast<size_t>(i)];
-          std::vector<int>& request_index = S.d_request_index[static_cast<size_t>(i)];
-          while (!decode_queue.empty() && static_cast<int>(remaining.size()) < max_batch) {
-            int req = decode_queue.front();
-            decode_queue.pop_front();
-            remaining.push_back(
-                std::max(1, requests.output_tokens[static_cast<size_t>(req)]));
-            request_index.push_back(req);
-            if (track_qsums) {
-              queued_output_tokens -= requests.output_tokens[static_cast<size_t>(req)];
-            }
-          }
-        } else {
-          std::vector<uint64_t>& heap = S.d_heap[static_cast<size_t>(i)];
-          while (!decode_queue.empty() && S.d_active_count[i] < max_batch) {
-            int req = decode_queue.front();
-            decode_queue.pop_front();
-            uint64_t left = static_cast<uint64_t>(
-                std::max(1, requests.output_tokens[static_cast<size_t>(req)]));
-            uint64_t cls = 0;
-            if (track_classes) {
-              cls = static_cast<uint64_t>(class_of(req));
-              ++S.class_active[static_cast<size_t>(i) * ncls + cls];
-            }
-            heap.push_back(((S.d_step_count[i] + left) << kCompletionClassBits) | cls);
-            std::push_heap(heap.begin(), heap.end(), std::greater<uint64_t>());
-            ++S.d_active_count[i];
-            if (track_qsums) {
-              queued_output_tokens -= requests.output_tokens[static_cast<size_t>(req)];
-            }
-          }
+  // --- decode-step coalescing ---
+  // A step that starts with the decode queue empty cannot see its batch
+  // change before the instance's next completion: admission needs queued
+  // work, and the only other changes (failure, degrade transition) are
+  // events of their own. So the instance pushes one step-done event for the
+  // whole run, at the end of the step that completes something, and
+  // catch_up replays the skipped steps' accounting when something needs it:
+  // a prefill landing that leaves work queued (cut at the next boundary), a
+  // failure or degrade transition on the instance, or an autoscaler tick
+  // (which reads busy time). Events that sort before kDecodeStepDone at
+  // time T see only the steps ending strictly before T; later kinds see
+  // those ending at T too.
+  int coalesced_count = 0;
+  auto is_coalesced = [&](int i) {
+    return (S.d_coalesced[static_cast<size_t>(i) >> 6] >> (static_cast<unsigned>(i) & 63)) & 1;
+  };
+  auto clear_coalesced = [&](int i) {
+    S.d_coalesced[static_cast<size_t>(i) >> 6] &= ~(1ull << (static_cast<unsigned>(i) & 63));
+    --coalesced_count;
+  };
+
+  // The new step-done event replaces (stales) any pending one.
+  auto push_step_done = [&](int i, double t) {
+    events.Push({t, ServeEventKind::kDecodeStepDone, i, static_cast<int>(++S.d_step_token[i])});
+  };
+
+  // Token and TBT accounting for k completed steps of instance i's current
+  // batch. Token counts are integers, so one b*k add equals k adds of b.
+  auto account_steps = [&](int i, size_t k) {
+    const double duration = S.d_step_duration[i];
+    const double tokens = static_cast<double>(S.d_active_count[i]) * static_cast<double>(k);
+    metrics.tbt_s.Add(duration, k);
+    metrics.output_tokens += tokens;
+    if (degrade_enabled && S.d_degrade_since[i] >= 0.0) {
+      metrics.degraded_output_tokens += tokens;
+    }
+    if (track_classes) {
+      // Each active sequence of a class experienced each step's duration
+      // as one inter-token gap: one weighted histogram add per class.
+      const int* active = &S.class_active[static_cast<size_t>(i) * ncls];
+      for (size_t c = 0; c < ncls; ++c) {
+        if (active[c] > 0) {
+          size_t n = static_cast<size_t>(active[c]) * k;
+          metrics.per_class[c].tbt_s.Add(duration, n);
+          metrics.per_class[c].output_tokens += static_cast<double>(n);
         }
       }
-      int batch = exact_slots ? static_cast<int>(S.d_remaining[static_cast<size_t>(i)].size())
-                              : S.d_active_count[i];
-      if (batch == 0) {
-        return;
-      }
-      double duration = stepper.DecodeStepTime(batch);
-      if (degrade_enabled) {
-        duration *= S.d_degrade_mult[i];
-      }
-      S.d_state[i] |= kBusy;
-      sync_d_ready(i);
-      S.d_step_started[i] = t;
-      S.d_step_duration[i] = duration;
-      S.d_busy_time[i] += duration;
-      S.d_batch_time_product[i] += batch * duration;
-      events.Push({t + duration, ServeEventKind::kDecodeStepDone, i, S.d_epoch[i]});
     }
   };
 
-  auto decode_holds_work = [&](int i) {
-    return exact_slots ? !S.d_remaining[static_cast<size_t>(i)].empty()
-                       : S.d_active_count[i] > 0;
+  // Replays the skipped steps of instance i's coalesced run that end before
+  // t (or at t, if `inclusive`): each completes, then the next one starts.
+  // Busy time and the batch-time product take their adds one by one, in
+  // step order, exactly as the per-step events made them. Never consumes
+  // the run's final step, which its live event accounts.
+  auto catch_up = [&](int i, double t, bool inclusive) {
+    uint64_t left = S.d_run_left[i];
+    const double duration = S.d_step_duration[i];
+    const double batch = static_cast<double>(S.d_active_count[i]);
+    double started = S.d_step_started[i];
+    double busy = S.d_busy_time[i];
+    double product = S.d_batch_time_product[i];
+    size_t k = 0;
+    for (double end = started + duration; left > 0 && (end < t || (inclusive && end == t));
+         end = started + duration) {
+      started = end;
+      busy += duration;
+      product += batch * duration;
+      --left;
+      ++k;
+    }
+    assert((left > 0 || started + duration == S.d_run_end[i]) &&
+           "catch_up disagrees with the coalesced run's final step time");
+    if (k == 0) {
+      return;
+    }
+    account_steps(i, k);
+    S.d_step_count[i] += k;
+    S.d_step_started[i] = started;
+    S.d_busy_time[i] = busy;
+    S.d_batch_time_product[i] = product;
+    S.d_run_left[i] = left;
+    progress_now = std::max(progress_now, started);
   };
+
+  // Ends instance i's coalesced run at the step in flight at `now`, for an
+  // event that sorts before kDecodeStepDone: a fresh event at that step's
+  // end replaces the run's event.
+  auto cut_run = [&](int i) {
+    catch_up(i, now, /*inclusive=*/false);
+    clear_coalesced(i);
+    if (S.d_run_left[i] > 0) {
+      push_step_done(i, S.d_step_started[i] + S.d_step_duration[i]);
+    }
+  };
+  auto for_each_coalesced = [&](auto&& f) {
+    for (size_t w = 0; w < S.d_coalesced.size(); ++w) {
+      uint64_t bits = S.d_coalesced[w];
+      while (bits != 0) {
+        int i = static_cast<int>((w << 6) + static_cast<size_t>(__builtin_ctzll(bits)));
+        bits &= bits - 1;
+        f(i);
+      }
+    }
+  };
+
+  auto try_start_decode_step_at = [&](double t, int i) {
+    const int max_batch = stepper.MaxDecodeBatch();
+    std::vector<uint64_t>& heap = S.d_heap[static_cast<size_t>(i)];
+    // Admit waiting sequences at the step boundary (draining instances
+    // only finish what they already hold).
+    if (!(S.d_state[i] & kDraining)) {
+      while (!decode_queue.empty() && S.d_active_count[i] < max_batch) {
+        int req = decode_queue.front();
+        decode_queue.pop_front();
+        uint64_t left = static_cast<uint64_t>(
+            std::max(1, requests.output_tokens[static_cast<size_t>(req)]));
+        uint64_t finish = S.d_step_count[i] + left;
+        assert((finish >> (64 - request_bits)) == 0 &&
+               static_cast<uint64_t>(req) <= request_mask &&
+               "completion-heap key overflows its bit fields");
+        if (track_classes) {
+          ++S.class_active[static_cast<size_t>(i) * ncls + static_cast<size_t>(class_of(req))];
+        }
+        heap.push_back((finish << request_bits) | static_cast<uint64_t>(req));
+        std::push_heap(heap.begin(), heap.end(), std::greater<uint64_t>());
+        ++S.d_active_count[i];
+        if (track_slots) {
+          std::vector<DecodeSlot>& slots = S.d_slots[static_cast<size_t>(i)];
+          S.slot_pos[static_cast<size_t>(req)] = static_cast<int>(slots.size());
+          slots.push_back({req, finish});
+        }
+        if (track_qsums) {
+          queued_output_tokens -= requests.output_tokens[static_cast<size_t>(req)];
+        }
+      }
+    }
+    int batch = S.d_active_count[i];
+    if (batch == 0) {
+      return;
+    }
+    double duration = stepper.DecodeStepTime(batch);
+    if (degrade_enabled) {
+      duration *= S.d_degrade_mult[i];
+    }
+    S.d_state[i] |= kBusy;
+    sync_d_ready(i);
+    S.d_step_started[i] = t;
+    S.d_step_duration[i] = duration;
+    S.d_busy_time[i] += duration;
+    S.d_batch_time_product[i] += batch * duration;
+    // With nothing queued, run straight to the next completion: its event
+    // time is the same sequential sum the per-step events would reach.
+    uint64_t steps = 1;
+    if (decode_queue.empty()) {
+      steps = (heap.front() >> request_bits) - S.d_step_count[i];
+    }
+    double end = t + duration;
+    for (uint64_t k = 1; k < steps; ++k) {
+      end += duration;
+    }
+    S.d_run_left[i] = steps - 1;
+    if (steps > 1) {
+      S.d_run_end[i] = end;
+      S.d_coalesced[static_cast<size_t>(i) >> 6] |= 1ull << (static_cast<unsigned>(i) & 63);
+      ++coalesced_count;
+    }
+    push_step_done(i, end);
+  };
+
+  auto decode_holds_work = [&](int i) { return S.d_active_count[i] > 0; };
   auto decode_ready = [&](int i) {
     return (S.d_ready[static_cast<size_t>(i) >> 6] >> (static_cast<unsigned>(i) & 63)) & 1;
   };
@@ -883,26 +1029,33 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   };
 
   auto fail_decode = [&](int i, int domain) {
+    if (is_coalesced(i)) {
+      // Steps that finished before the failure still count, at the
+      // degraded state they ran under.
+      catch_up(i, now, /*inclusive=*/false);
+      clear_coalesced(i);
+    }
     if (degrade_enabled) {
       close_degrade_decode(i);
     }
     ++S.d_epoch[i];
-    std::vector<int>& remaining = S.d_remaining[static_cast<size_t>(i)];
-    std::vector<int>& request_index = S.d_request_index[static_cast<size_t>(i)];
-    int killed = static_cast<int>(remaining.size());
+    ++S.d_step_token[i];  // stales the killed step's event
+    int killed = S.d_active_count[i];
     double lost = 0.0;
     if (S.d_state[i] & kBusy) {
       double unfinished = S.d_step_started[i] + S.d_step_duration[i] - now;
       S.d_busy_time[i] -= unfinished;
-      S.d_batch_time_product[i] -= static_cast<double>(remaining.size()) * unfinished;
+      S.d_batch_time_product[i] -= static_cast<double>(killed) * unfinished;
       S.d_state[i] &= static_cast<uint8_t>(~kBusy);
     }
-    for (size_t s = 0; s < remaining.size(); ++s) {
-      int req = request_index[s];
+    std::vector<DecodeSlot>& slots = S.d_slots[static_cast<size_t>(i)];
+    for (const DecodeSlot& slot : slots) {
+      int req = slot.request;
       // Generated-so-far tokens die with the KV cache: they are not
       // horizon goodput, so back them out of the token counts.
+      int64_t remaining = static_cast<int64_t>(slot.finish_step - S.d_step_count[i]);
       double generated = static_cast<double>(
-          std::max(1, requests.output_tokens[static_cast<size_t>(req)]) - remaining[s]);
+          std::max(1, requests.output_tokens[static_cast<size_t>(req)]) - remaining);
       lost += generated;
       metrics.output_tokens -= generated;
       if (track_classes) {
@@ -910,8 +1063,12 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       }
       requeue_or_drop(req);
     }
-    remaining.clear();
-    request_index.clear();
+    slots.clear();
+    S.d_heap[static_cast<size_t>(i)].clear();
+    S.d_active_count[i] = 0;
+    if (track_classes) {
+      std::fill_n(&S.class_active[static_cast<size_t>(i) * ncls], ncls, 0);
+    }
     metrics.lost_tokens += lost;
     if (S.d_state[i] & kDraining) {
       metrics.fault_events.push_back({now, FaultEventKind::kFailure, ScalePool::kDecode,
@@ -940,6 +1097,9 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   // a per-class demand forecast (predictive) with the backlog trigger kept
   // as a safety net. Applied per pool, at most one scale-down per tick.
   auto autoscale_tick = [&]() {
+    // The tick reads busy time, which includes the step started at a
+    // boundary at `now`: replay every coalesced run up to and including it.
+    for_each_coalesced([&](int i) { catch_up(i, now, /*inclusive=*/true); });
     double window = now - prev_tick_time;
     int live_prefill = 0;
     int live_decode = 0;
@@ -1096,6 +1256,10 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   };
 
   for (;;) {
+    // Coalescing invariant, after every event: queued decode work cut
+    // every coalesced run (see the prefill-landing handler).
+    assert((coalesced_count == 0 || decode_queue.empty()) &&
+           "an instance is coalesced while decode work is queued");
     // First instant both queues are empty after the largest outage: the
     // check runs at the top of every iteration (after the previous item
     // fully processed), gated on drain_pending so fault-free runs never
@@ -1192,103 +1356,67 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     // kind, so it cannot affect processing order.
     if (event.kind == ServeEventKind::kDecodeStepDone) {
       int i = event.instance;
-      if (faults_enabled && event.epoch != S.d_epoch[i]) {
-        continue;  // the step was killed by a failure before it finished
+      if (static_cast<uint32_t>(event.epoch) != S.d_step_token[i]) {
+        continue;  // the step was cut or killed before it finished
       }
       progress_now = now;
-      metrics.tbt_s.Add(S.d_step_duration[i]);
+      if (is_coalesced(i)) {
+        catch_up(i, now, /*inclusive=*/true);
+        assert(S.d_run_left[i] == 0 && "a coalesced run ended with skipped steps unreplayed");
+        clear_coalesced(i);
+      }
       S.d_state[i] &= static_cast<uint8_t>(~kBusy);
       sync_d_ready(i);
-      if (exact_slots) {
-        std::vector<int>& remaining = S.d_remaining[static_cast<size_t>(i)];
-        std::vector<int>& request_index = S.d_request_index[static_cast<size_t>(i)];
-        // Every active sequence emitted one token this step.
-        metrics.output_tokens += static_cast<double>(remaining.size());
-        if (degrade_enabled && S.d_degrade_since[i] >= 0.0) {
-          metrics.degraded_output_tokens += static_cast<double>(remaining.size());
+      account_steps(i, 1);
+      // Sequences whose remaining count just hit zero are exactly the
+      // completion-heap entries at the new step count.
+      uint64_t done_step = ++S.d_step_count[i];
+      std::vector<uint64_t>& heap = S.d_heap[static_cast<size_t>(i)];
+      while (!heap.empty() && (heap.front() >> request_bits) == done_step) {
+        std::pop_heap(heap.begin(), heap.end(), std::greater<uint64_t>());
+        int req = static_cast<int>(heap.back() & request_mask);
+        heap.pop_back();
+        ++metrics.completed_requests;
+        if (track_slots) {
+          S.finished_pos.push_back(S.slot_pos[static_cast<size_t>(req)]);
         }
         if (track_classes) {
-          // Each active sequence of a class experienced this step's duration
-          // as one inter-token gap: one weighted histogram add per class.
-          std::fill(S.step_class_counts.begin(), S.step_class_counts.end(), 0);
-          for (int req : request_index) {
-            ++S.step_class_counts[static_cast<size_t>(class_of(req))];
-          }
-          for (size_t c = 0; c < S.step_class_counts.size(); ++c) {
-            if (S.step_class_counts[c] > 0) {
-              metrics.per_class[c].tbt_s.Add(S.d_step_duration[i],
-                                             S.step_class_counts[c]);
-              metrics.per_class[c].output_tokens +=
-                  static_cast<double>(S.step_class_counts[c]);
-            }
-          }
-        }
-        for (size_t s = 0; s < remaining.size();) {
-          if (--remaining[s] == 0) {
-            ++metrics.completed_requests;
-            if (track_classes) {
-              ++metrics.per_class[static_cast<size_t>(class_of(request_index[s]))]
-                    .completed_requests;
-            }
-            if (now > config.horizon_s) {
-              // Admitted before the horizon, finished after it: the request
-              // drains but its tail tokens are not horizon goodput.
-              ++metrics.in_flight_at_horizon;
-              if (track_classes) {
-                ++metrics.per_class[static_cast<size_t>(class_of(request_index[s]))]
-                      .in_flight_at_horizon;
-              }
-            }
-            metrics.makespan_s = now;
-            remaining[s] = remaining.back();
-            remaining.pop_back();
-            request_index[s] = request_index.back();
-            request_index.pop_back();
-          } else {
-            ++s;
-          }
-        }
-        if ((S.d_state[i] & kDraining) && remaining.empty()) {
-          retire_decode(i, S.d_drain_reason[i]);
-        }
-      } else {
-        metrics.output_tokens += static_cast<double>(S.d_active_count[i]);
-        if (track_classes) {
-          const int* active = &S.class_active[static_cast<size_t>(i) * ncls];
-          for (size_t c = 0; c < ncls; ++c) {
-            if (active[c] > 0) {
-              metrics.per_class[c].tbt_s.Add(S.d_step_duration[i],
-                                             static_cast<size_t>(active[c]));
-              metrics.per_class[c].output_tokens += static_cast<double>(active[c]);
-            }
-          }
-        }
-        // Sequences whose remaining count just hit zero are exactly the
-        // completion-heap entries at the new step count.
-        uint64_t done_step = ++S.d_step_count[i];
-        std::vector<uint64_t>& heap = S.d_heap[static_cast<size_t>(i)];
-        while (!heap.empty() && (heap.front() >> kCompletionClassBits) == done_step) {
-          std::pop_heap(heap.begin(), heap.end(), std::greater<uint64_t>());
-          uint64_t entry = heap.back();
-          heap.pop_back();
-          size_t cls = static_cast<size_t>(entry & kCompletionClassMask);
-          ++metrics.completed_requests;
-          if (track_classes) {
-            ++metrics.per_class[cls].completed_requests;
-            --S.class_active[static_cast<size_t>(i) * ncls + cls];
-          }
+          size_t cls = static_cast<size_t>(class_of(req));
+          ++metrics.per_class[cls].completed_requests;
+          --S.class_active[static_cast<size_t>(i) * ncls + cls];
           if (now > config.horizon_s) {
-            ++metrics.in_flight_at_horizon;
-            if (track_classes) {
-              ++metrics.per_class[cls].in_flight_at_horizon;
+            ++metrics.per_class[cls].in_flight_at_horizon;
+          }
+        }
+        if (now > config.horizon_s) {
+          // Admitted before the horizon, finished after it: the request
+          // drains but its tail tokens are not horizon goodput.
+          ++metrics.in_flight_at_horizon;
+        }
+        metrics.makespan_s = now;
+        --S.d_active_count[i];
+      }
+      if (!S.finished_pos.empty()) {
+        // Slot-order replay of the reference's single ascending pass, in
+        // which every finished slot takes the back slot and is re-checked:
+        // visiting the finished positions in ascending order and popping
+        // finished backs into them leaves the same permutation.
+        std::vector<DecodeSlot>& slots = S.d_slots[static_cast<size_t>(i)];
+        std::sort(S.finished_pos.begin(), S.finished_pos.end());
+        for (int p : S.finished_pos) {
+          size_t pos = static_cast<size_t>(p);
+          while (pos < slots.size() && slots[pos].finish_step == done_step) {
+            slots[pos] = slots.back();
+            slots.pop_back();
+            if (pos < slots.size()) {
+              S.slot_pos[static_cast<size_t>(slots[pos].request)] = p;
             }
           }
-          metrics.makespan_s = now;
-          --S.d_active_count[i];
         }
-        if ((S.d_state[i] & kDraining) && S.d_active_count[i] == 0) {
-          retire_decode(i, S.d_drain_reason[i]);
-        }
+        S.finished_pos.clear();
+      }
+      if ((S.d_state[i] & kDraining) && S.d_active_count[i] == 0) {
+        retire_decode(i, S.d_drain_reason[i]);
       }
       try_start_decode_step(now, i);
       continue;
@@ -1322,6 +1450,11 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       }
       try_start_prefill(now);
       try_start_decode_step(now, -1);
+      if (coalesced_count > 0 && !decode_queue.empty()) {
+        // Work is left queued: every coalesced instance must admit it at
+        // its next step boundary.
+        for_each_coalesced(cut_run);
+      }
       continue;
     }
 
@@ -1389,6 +1522,9 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       if (!live) {
         continue;
       }
+      if (!is_prefill && is_coalesced(i)) {
+        cut_run(i);  // the next step dispatches at the new multiplier
+      }
       ScalePool pool = is_prefill ? ScalePool::kPrefill : ScalePool::kDecode;
       // The slot's stream yields gap, duration, gap, duration, ... in event
       // order; failures stale pending windows via the epoch (the recovery
@@ -1423,6 +1559,9 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       if (is_prefill) {
         close_degrade_prefill(i);
       } else {
+        if (is_coalesced(i)) {
+          cut_run(i);
+        }
         close_degrade_decode(i);
       }
       ScalePool pool = is_prefill ? ScalePool::kPrefill : ScalePool::kDecode;
@@ -1518,6 +1657,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
 
   }
 
+  assert(coalesced_count == 0 && "a coalesced run outlived the event loop");
   metrics.makespan_s = std::max(metrics.makespan_s, progress_now);
   metrics.peak_demand_entries = peak_demand_entries;
   if (metrics.makespan_s > 0.0) {

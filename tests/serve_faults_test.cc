@@ -18,6 +18,7 @@
 #include "src/serve/simulator.h"
 #include "src/serve/simulator_reference.h"
 #include "src/serve/workload.h"
+#include "tests/serve_identity.h"
 
 namespace litegpu {
 namespace {
@@ -258,18 +259,6 @@ TEST(SimulatorFaults, RetryBudgetFallsBetweenRetryAndDrop) {
   ServeMetrics z = RunServeSimulation(requests, no_budget, SimpleCallbacks());
   EXPECT_EQ(z.retried_requests, 0);
   EXPECT_EQ(z.completed_requests + z.dropped_requests, z.admitted_requests);
-}
-
-// The dense step-time table holding exactly the callbacks' values.
-StepTimeTable TableOf(const ServeCallbacks& cb) {
-  std::vector<double> prefill_s, decode_s;
-  for (int b = 1; b <= cb.max_prefill_batch; ++b) {
-    prefill_s.push_back(cb.prefill_time(b));
-  }
-  for (int b = 1; b <= cb.max_decode_batch; ++b) {
-    decode_s.push_back(cb.decode_step_time(b));
-  }
-  return StepTimeTable(std::move(prefill_s), std::move(decode_s));
 }
 
 TEST(SimulatorFaults, FaultLogBitIdenticalOnTableAndCallbackPaths) {
@@ -668,6 +657,119 @@ TEST(SimulatorFaults, RampingPoolMatchesReferenceCore) {
     EXPECT_EQ(a.shed_events[i].time_s, b.shed_events[i].time_s) << i;
     EXPECT_EQ(a.shed_events[i].request, b.shed_events[i].request) << i;
   }
+}
+
+TEST(SimulatorFaults, CoalescedRunsUnderFailuresAndDegradesMatchReference) {
+  // Low load with long outputs keeps most decode steps inside coalesced
+  // runs, so failures, domain outages and degrade windows on the decode
+  // pool keep landing mid-run: each must replay the run's finished steps
+  // (at the degrade state they ran under) before it kills or re-times the
+  // step in flight.
+  WorkloadSpec spec;
+  spec.arrival_rate_per_s = 1.5;
+  spec.duration_s = 40.0;
+  spec.median_prompt_tokens = 800;
+  spec.prompt_sigma = 0.5;
+  spec.median_output_tokens = 300;
+  spec.output_sigma = 0.5;
+  auto requests = GenerateWorkload(spec);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].class_id = static_cast<int>(i % 2);
+  }
+  ServeCallbacks cb = SimpleCallbacks();
+  StepTimeTable table = TableOf(cb);
+  ServeClusterConfig config;
+  config.prefill_instances = 2;
+  config.decode_instances = 2;
+  config.horizon_s = spec.duration_s;
+  config.num_classes = 2;
+  config.faults.enabled = true;
+  config.faults.prefill_failure_rate_per_s = 0.05;
+  config.faults.decode_failure_rate_per_s = 0.15;
+  config.faults.repair_s = 2.0;
+  config.faults.spare_activation_s = 0.5;
+  config.faults.decode_spares = 1;
+  config.faults.retry_policy = FaultRetryPolicy::kRetryWithBudget;
+  config.faults.retry_budget = 1;
+  config.faults.domains.decode_instances_per_domain = 2;
+  config.faults.domains.failure_rate_per_s = 0.03;
+  config.faults.domains.repair_s = 3.0;
+  config.faults.degraded.prefill_rate_per_s = 0.1;
+  config.faults.degraded.decode_rate_per_s = 0.3;
+  config.faults.degraded.multiplier = 2.5;
+  config.faults.degraded.mean_duration_s = 1.5;
+  config.faults.seed = FaultSubstreamSeed(7);
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
+  int decode_kills = 0;
+  for (const FaultEvent& e : a.fault_events) {
+    if (e.kind == FaultEventKind::kFailure && e.pool == ScalePool::kDecode) {
+      decode_kills += e.killed_requests;
+    }
+  }
+  EXPECT_GT(decode_kills, 0);
+  EXPECT_GT(a.degrade_windows, 0);
+  EXPECT_GT(a.degraded_output_tokens, 0.0);
+  ExpectSameServeMetrics(a, b);
+}
+
+TEST(SimulatorFaults, SlotOrderReplayMatchesReferenceRequeueOrder) {
+  // Constant output lengths (sigma 0): every sequence admitted at one step
+  // boundary finishes in one step, so completions come several to a step
+  // and the reference's swap-remove pass permutes the survivors' slots. A
+  // decode failure requeues its victims in that slot order, which decides
+  // their later prefill batches and decode placement: the fault log's
+  // kill and loss counts, the retry total and the per-class TTFTs must all
+  // match the reference engine.
+  WorkloadSpec spec;
+  spec.arrival_rate_per_s = 40.0;
+  spec.duration_s = 20.0;
+  spec.median_prompt_tokens = 600;
+  spec.prompt_sigma = 0.5;
+  spec.median_output_tokens = 48;
+  spec.output_sigma = 0.0;
+  auto requests = GenerateWorkload(spec);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].class_id = static_cast<int>(i % 3);
+  }
+  ServeCallbacks cb = SimpleCallbacks();
+  ServeClusterConfig config;
+  config.prefill_instances = 2;
+  config.decode_instances = 2;
+  config.horizon_s = spec.duration_s;
+  config.num_classes = 3;
+  config.faults.enabled = true;
+  config.faults.decode_failure_rate_per_s = 0.4;
+  config.faults.repair_s = 1.0;
+  config.faults.retry_policy = FaultRetryPolicy::kRetry;
+  config.faults.seed = FaultSubstreamSeed(11);
+  ServeMetrics a = RunServeSimulation(requests, config, TableOf(cb));
+  ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+  EXPECT_GT(a.retried_requests, 0);
+  ExpectSameServeMetrics(a, b);
+}
+
+TEST(SimulatorFaults, DroppedRunEndsTheMakespanAtItsLastFinishedStep) {
+  // One request decoding alone is one coalesced run. A decode failure under
+  // the drop policy kills it and nothing completes afterwards, so the
+  // makespan is the end of the last step that finished before the failure
+  // — a skipped step, replayed when the failure lands.
+  ServeCallbacks cb = SimpleCallbacks();
+  std::vector<Request> requests = FixedRequests(1, 0.0, 4000);
+  ServeClusterConfig config;
+  config.prefill_instances = 1;
+  config.decode_instances = 1;
+  config.horizon_s = 60.0;
+  config.faults.enabled = true;
+  config.faults.decode_failure_rate_per_s = 0.5;
+  config.faults.repair_s = 1.0;
+  config.faults.retry_policy = FaultRetryPolicy::kDrop;
+  config.faults.seed = FaultSubstreamSeed(42);
+  ServeMetrics a = RunServeSimulation(requests, config, TableOf(cb));
+  ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+  EXPECT_EQ(a.dropped_requests, 1);
+  EXPECT_GT(a.makespan_s, cb.prefill_time(1) + cb.decode_step_time(1));
+  ExpectSameServeMetrics(a, b);
 }
 
 TEST(SimulatorFaults, RerunsAreDeterministic) {

@@ -5,6 +5,7 @@
 #include "src/serve/simulator.h"
 #include "src/serve/simulator_reference.h"
 #include "src/serve/workload.h"
+#include "tests/serve_identity.h"
 
 namespace litegpu {
 namespace {
@@ -494,6 +495,87 @@ TEST(Simulator, NewCoreBitIdenticalToReferenceCore) {
     EXPECT_EQ(a.per_class[c].ttft_s.Quantile(0.95), b.per_class[c].ttft_s.Quantile(0.95));
     EXPECT_EQ(a.per_class[c].tbt_s.Quantile(0.99), b.per_class[c].tbt_s.Quantile(0.99));
   }
+}
+
+// --- decode-step coalescing ---
+
+TEST(Simulator, CoalescedDecodeRunsMatchReferenceAtLowLoad) {
+  // Low load, long outputs: the decode queue is empty nearly all the time,
+  // so almost every decode step sits inside a coalesced run. With one
+  // decode instance every prefill landing while it decodes leaves work
+  // queued and cuts the run; with two, landings mostly go to an idle
+  // instance. Both must match the reference core field by field.
+  WorkloadSpec spec;
+  spec.arrival_rate_per_s = 1.0;
+  spec.duration_s = 40.0;
+  spec.median_prompt_tokens = 800;
+  spec.prompt_sigma = 0.5;
+  spec.median_output_tokens = 400;
+  spec.output_sigma = 0.6;
+  auto requests = GenerateWorkload(spec);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].class_id = static_cast<int>(i % 2);
+  }
+  ServeCallbacks cb = SimpleCallbacks();
+  StepTimeTable table = TableOf(cb);
+  for (int decode_instances : {1, 2}) {
+    SCOPED_TRACE(decode_instances);
+    ServeClusterConfig config;
+    config.prefill_instances = 1;
+    config.decode_instances = decode_instances;
+    config.horizon_s = spec.duration_s;
+    config.num_classes = 2;
+    ServeMetrics a = RunServeSimulation(requests, config, table);
+    ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+    EXPECT_GT(a.completed_requests, 30);
+    ExpectSameServeMetrics(a, b);
+  }
+}
+
+TEST(Simulator, AutoscaleTickOnACoalescedStepBoundaryMatchesReference) {
+  // Binary-fraction times (1/8 s passes, 1/64 s steps, 2.5 s arrival
+  // spacing, 5 s ticks) keep every sum exact, so ticks and prefill landings
+  // fall exactly on decode step boundaries inside coalesced runs. A tick
+  // sorts after step completions: the step starting at its instant is
+  // already busy time. Decoding runs from 1/8 s without a gap, so the first
+  // tick reads a decode utilization of (5 - 1/8 + 1/64) / 5 = 0.978125 with
+  // that step and 0.975 without it; the 0.977 threshold makes the first
+  // scale-up depend on it.
+  ServeCallbacks cb;
+  cb.prefill_time = [](int) { return 0.125; };
+  cb.decode_step_time = [](int) { return 1.0 / 64.0; };
+  cb.max_prefill_batch = 4;
+  cb.max_decode_batch = 8;
+  std::vector<Request> requests;
+  for (int i = 0; i < 16; ++i) {
+    Request r;
+    r.id = i;
+    r.arrival_s = 2.5 * i;
+    r.prompt_tokens = 1000;
+    r.output_tokens = i % 2 == 0 ? 1600 : 200;
+    requests.push_back(r);
+  }
+  ServeClusterConfig config;
+  config.prefill_instances = 1;
+  config.decode_instances = 1;
+  config.horizon_s = 60.0;
+  config.autoscaler.enabled = true;
+  config.autoscaler.interval_s = 5.0;
+  config.autoscaler.delay_s = 1.0;
+  config.autoscaler.max_decode_instances = 4;
+  config.autoscaler.scale_up_utilization = 0.977;
+  // Backlog never triggers: every decision is a utilization decision.
+  config.autoscaler.prefill_tokens_per_s = 1e12;
+  config.autoscaler.decode_tokens_per_s = 1e12;
+  ServeMetrics a = RunServeSimulation(requests, config, cb);
+  ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+  ASSERT_FALSE(a.scale_events.empty());
+  EXPECT_EQ(a.scale_events.front().time_s, 6.0);  // the tick at 5 s, plus delay
+  EXPECT_EQ(a.scale_events.front().pool, ScalePool::kDecode);
+  EXPECT_EQ(a.scale_events.front().delta, +1);
+  EXPECT_EQ(a.scale_events.front().reason, "utilization");
+  EXPECT_EQ(a.completed_requests, 16);
+  ExpectSameServeMetrics(a, b);
 }
 
 }  // namespace
