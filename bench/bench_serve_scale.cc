@@ -46,6 +46,11 @@
 //      empty, so decode steps run coalesced and failures and degrade
 //      windows keep interrupting the runs. The new core must match the
 //      reference core exactly (metrics, fault log).
+//  12. A low-load, autoscaled, faulted point on a wide decode pool (16-48
+//      instances, the width serve_chaos's Lite pools reach): a decode
+//      backlog finds many coalesced runs, and only the one that reaches a
+//      step boundary first is cut. The new core must match the reference
+//      core exactly (metrics, fault log, scale log).
 //
 // `--json` emits one JSON object (CI tees it into BENCH_serve_scale.json)
 // and the exit code gates regressions: nonzero when any speedup gate is
@@ -95,6 +100,22 @@ bool MetricsIdentical(const ServeMetrics& a, const ServeMetrics& b) {
          a.tbt_s.count() == b.tbt_s.count() &&
          a.tbt_s.Median() == b.tbt_s.Median() &&
          a.tbt_s.P99() == b.tbt_s.P99();
+}
+
+// Element-wise equality of two runs' scale-event logs.
+bool ScaleLogsIdentical(const ServeMetrics& a, const ServeMetrics& b) {
+  if (a.scale_events.size() != b.scale_events.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.scale_events.size(); ++i) {
+    const ScaleEvent& x = a.scale_events[i];
+    const ScaleEvent& y = b.scale_events[i];
+    if (x.time_s != y.time_s || x.pool != y.pool || x.delta != y.delta ||
+        x.instances_after != y.instances_after || x.reason != y.reason) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -221,16 +242,7 @@ int main(int argc, char** argv) {
   scaled.autoscaler.decode_tokens_per_s = decode.best.result.tokens_per_s;
   ServeMetrics scaled_old = RunServeSimulation(bursty_requests, scaled, callbacks);
   ServeMetrics scaled_fast = RunServeSimulation(bursty_requests, scaled, table);
-  bool scale_events_identical =
-      scaled_old.scale_events.size() == scaled_fast.scale_events.size();
-  for (size_t i = 0; scale_events_identical && i < scaled_old.scale_events.size(); ++i) {
-    const ScaleEvent& a = scaled_old.scale_events[i];
-    const ScaleEvent& b = scaled_fast.scale_events[i];
-    scale_events_identical = a.time_s == b.time_s && a.pool == b.pool &&
-                             a.delta == b.delta &&
-                             a.instances_after == b.instances_after &&
-                             a.reason == b.reason;
-  }
+  bool scale_events_identical = ScaleLogsIdentical(scaled_old, scaled_fast);
   bool autoscale_identical =
       scale_events_identical &&
       scaled_old.prefill_instance_seconds == scaled_fast.prefill_instance_seconds &&
@@ -295,17 +307,7 @@ int main(int argc, char** argv) {
   ServeMetrics ref_plain = RunServeSimulationReference(requests, cluster, table);
   bool ref_plain_identical = MetricsIdentical(ref_plain, fast_path);
   ServeMetrics ref_scaled = RunServeSimulationReference(bursty_requests, scaled, table);
-  bool ref_scale_events_identical =
-      ref_scaled.scale_events.size() == scaled_fast.scale_events.size();
-  for (size_t i = 0; ref_scale_events_identical && i < ref_scaled.scale_events.size();
-       ++i) {
-    const ScaleEvent& a = ref_scaled.scale_events[i];
-    const ScaleEvent& b = scaled_fast.scale_events[i];
-    ref_scale_events_identical = a.time_s == b.time_s && a.pool == b.pool &&
-                                 a.delta == b.delta &&
-                                 a.instances_after == b.instances_after &&
-                                 a.reason == b.reason;
-  }
+  bool ref_scale_events_identical = ScaleLogsIdentical(ref_scaled, scaled_fast);
   bool ref_scaled_identical =
       ref_scale_events_identical && MetricsIdentical(ref_scaled, scaled_fast) &&
       ref_scaled.prefill_instance_seconds == scaled_fast.prefill_instance_seconds &&
@@ -580,11 +582,69 @@ int main(int argc, char** argv) {
                          quiet_ref.retried_requests == quiet_new.retried_requests &&
                          quiet_ref.lost_tokens == quiet_new.lost_tokens;
 
+  // --- 12. wide, autoscaled, faulted pool at low load, reference vs new ---
+  // 24 decode instances at a quarter of their analytic capacity, with
+  // failures, degrade windows, and a reactive autoscaler that drains busy
+  // instances down to 16 and adds back on backlog (up to 48). Backlogs find
+  // many coalesced runs — full, draining, failing and tied ones among them —
+  // so arming really chooses; section 11's two-instance pool never does.
+  const int kWideDecode = 24;
+  WorkloadSpec wide_spec;
+  wide_spec.median_output_tokens = 512;
+  wide_spec.output_sigma = 0.6;
+  wide_spec.prompt_sigma = 0.5;
+  wide_spec.arrival_rate_per_s = 0.25 * kWideDecode * decode.best.result.tokens_per_s /
+                                 static_cast<double>(wide_spec.median_output_tokens);
+  wide_spec.duration_s = 60.0;
+  wide_spec.seed = 12;
+  std::vector<Request> wide_requests = GenerateWorkload(wide_spec);
+  ServeClusterConfig wide = faulty;
+  wide.prefill_instances = std::max(
+      1, static_cast<int>(std::ceil(1.25 * wide_spec.arrival_rate_per_s *
+                                    wide_spec.median_prompt_tokens /
+                                    prefill.best.result.tokens_per_s)));
+  wide.decode_instances = kWideDecode;
+  wide.horizon_s = wide_spec.duration_s;
+  wide.faults.decode_failure_rate_per_s = 0.01;
+  wide.faults.degraded.decode_rate_per_s = 0.02;
+  wide.faults.degraded.multiplier = 2.0;
+  wide.faults.degraded.mean_duration_s = 5.0;
+  wide.autoscaler.enabled = true;
+  wide.autoscaler.interval_s = 5.0;
+  wide.autoscaler.delay_s = 5.0;
+  wide.autoscaler.min_prefill_instances = wide.prefill_instances;
+  wide.autoscaler.min_decode_instances = 16;
+  wide.autoscaler.max_decode_instances = 48;
+  wide.autoscaler.scale_down_utilization = 0.5;
+  wide.autoscaler.prefill_tokens_per_s = prefill.best.result.tokens_per_s;
+  wide.autoscaler.decode_tokens_per_s = decode.best.result.tokens_per_s;
+  t0 = std::chrono::steady_clock::now();
+  ServeMetrics wide_ref = RunServeSimulationReference(wide_requests, wide, table);
+  double wide_ref_s = SecondsSince(t0);
+  t0 = std::chrono::steady_clock::now();
+  ServeMetrics wide_new = RunServeSimulation(wide_requests, wide, table);
+  double wide_new_s = SecondsSince(t0);
+  int wide_decode_kills = 0;
+  for (const FaultEvent& e : wide_new.fault_events) {
+    if (e.kind == FaultEventKind::kFailure && e.pool == ScalePool::kDecode) {
+      wide_decode_kills += e.killed_requests;
+    }
+  }
+  bool wide_identical =
+      wide_decode_kills > 0 && wide_new.degrade_windows > 0 &&
+      !wide_new.scale_events.empty() && ScaleLogsIdentical(wide_ref, wide_new) &&
+      fault_logs_match(wide_ref, wide_new) && MetricsIdentical(wide_ref, wide_new) &&
+      wide_ref.retried_requests == wide_new.retried_requests &&
+      wide_ref.lost_tokens == wide_new.lost_tokens &&
+      wide_ref.decode_instance_seconds == wide_new.decode_instance_seconds &&
+      wide_ref.peak_decode_instances == wide_new.peak_decode_instances;
+
   bool pass = inner_speedup > 1.0 && identical && autoscale_identical &&
               fault_identical && zero_afr_within_budget && sweep_report.ok &&
               reference_identical && million_identical && million_speedup > 1.0 &&
               shard_sane && grid_identical && grid_speedup > 1.0 &&
-              axes_off_zeroed && chaos_identical && fleet_ok && quiet_identical;
+              axes_off_zeroed && chaos_identical && fleet_ok && quiet_identical &&
+              wide_identical;
 
   if (json) {
     Json inner = Json::Object();
@@ -674,6 +734,17 @@ int main(int argc, char** argv) {
         .Set("reference_core_s", quiet_ref_s)
         .Set("new_core_s", quiet_new_s)
         .Set("identity", quiet_identical);
+    Json wide_json = Json::Object();
+    wide_json.Set("requests", static_cast<uint64_t>(wide_requests.size()))
+        .Set("decode_instances", kWideDecode)
+        .Set("peak_decode_instances", wide_new.peak_decode_instances)
+        .Set("scale_events", static_cast<int>(wide_new.scale_events.size()))
+        .Set("decode_steps", static_cast<uint64_t>(wide_new.tbt_s.count()))
+        .Set("decode_killed_requests", wide_decode_kills)
+        .Set("degrade_windows", wide_new.degrade_windows)
+        .Set("reference_core_s", wide_ref_s)
+        .Set("new_core_s", wide_new_s)
+        .Set("identity", wide_identical);
     Json j = Json::Object();
     j.Set("inner_loop", std::move(inner))
         .Set("full_sim", std::move(sim))
@@ -687,6 +758,7 @@ int main(int argc, char** argv) {
         .Set("fleet", std::move(fleet_json))
         .Set("sweep_core", std::move(sweep_core))
         .Set("low_load_faulted", std::move(quiet_json))
+        .Set("wide_pool_faulted", std::move(wide_json))
         .Set("pass", pass);
     std::printf("%s\n", j.Dump().c_str());
   } else {
@@ -751,6 +823,14 @@ int main(int argc, char** argv) {
                 quiet_requests.size(), quiet_new.tbt_s.count(), quiet_decode_kills,
                 quiet_new.degrade_windows, quiet_ref_s, quiet_new_s,
                 quiet_identical ? "OK" : "FAILED");
+    std::printf("\nwide autoscaled faulted pool (%zu requests, %d-%d decode inst, "
+                "%zu scale events, %zu decode steps, %d decode kills, "
+                "%d degrade windows):\n"
+                "  reference: %.3f s   new: %.3f s   identity: %s\n",
+                wide_requests.size(), kWideDecode, wide_new.peak_decode_instances,
+                wide_new.scale_events.size(), wide_new.tbt_s.count(), wide_decode_kills,
+                wide_new.degrade_windows, wide_ref_s, wide_new_s,
+                wide_identical ? "OK" : "FAILED");
   }
   return pass ? 0 : 1;
 }

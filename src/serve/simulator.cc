@@ -42,9 +42,12 @@
 //    empty cannot change its instance's batch before the next completion,
 //    so the instance pushes one event for the whole run, at the end of the
 //    completing step, and replays the skipped steps' accounting lazily
-//    (catch_up) when a prefill landing, failure, degrade transition or
-//    autoscaler tick needs it. The event loop costs O(completions +
-//    interruptions) instead of O(token steps).
+//    (catch_up) when a failure, degrade transition or autoscaler tick
+//    needs it. Queued decode work cuts one run only, the one that reaches
+//    a step boundary first (backlog arming), and run-end times and the
+//    replayed busy-time sums are fast-forwarded exactly (RepeatAdd). The
+//    event loop costs O(completions + interruptions) instead of O(token
+//    steps), and a backlog O(1) cuts instead of one per coalesced run.
 
 #include "src/serve/simulator.h"
 
@@ -61,6 +64,7 @@
 
 #include "src/perf/model.h"
 #include "src/serve/event_queue.h"
+#include "src/util/fp_repeat.h"
 
 namespace litegpu {
 
@@ -184,6 +188,82 @@ int CompletionRequestBits(size_t num_requests) {
   return num_requests > 1 ? 64 - __builtin_clzll(static_cast<uint64_t>(num_requests - 1)) : 1;
 }
 
+// How many of the `left` steps after the one started at `started` end
+// before t (or at t, if `inclusive`), with each end the sequential sum the
+// per-step events made — started + duration, then + duration per step —
+// and the last such end (`started` if none). Sequential ends never
+// decrease, so those steps are a prefix of the run. A short prefix is
+// walked add by add; a long one is estimated from the real-valued step
+// count, then settled exactly by galloping and bisecting over RepeatAdd.
+struct StepsBefore {
+  uint64_t count;
+  double end;
+};
+
+StepsBefore CountStepsBefore(double started, double duration, uint64_t left, double t,
+                             bool inclusive) {
+  auto before = [&](double end) { return end < t || (inclusive && end == t); };
+  const double estimate =
+      left < kRepeatAddMinJump || !(duration > 0.0) ? 0.0 : (t - started) / duration;
+  if (!(estimate >= kRepeatAddMinJump)) {
+    uint64_t k = 0;
+    for (double end = started + duration; k < left && before(end); end = started + duration) {
+      started = end;
+      ++k;
+    }
+    return {k, started};
+  }
+  // Steps 1..lo end before t, the lo-th at lo_end; step hi does not (hi =
+  // left + 1 stands for past the run).
+  uint64_t lo = 0;
+  double lo_end = started;
+  uint64_t hi = left + 1;
+  // Aim one step under the estimate, so the first probe nearly always
+  // lands inside the prefix and the gallop only walks forward.
+  const uint64_t guess = estimate - 1.0 >= static_cast<double>(left)
+                             ? left
+                             : static_cast<uint64_t>(estimate - 1.0);
+  const double guess_end = RepeatAdd(started, duration, guess);
+  if (before(guess_end)) {
+    lo = guess;
+    lo_end = guess_end;
+  } else {
+    hi = guess;
+  }
+  if (hi == left + 1) {
+    for (uint64_t step = 1; lo + step < hi; step *= 2) {
+      double end = RepeatAdd(lo_end, duration, step);
+      if (!before(end)) {
+        hi = lo + step;
+        break;
+      }
+      lo += step;
+      lo_end = end;
+    }
+  } else {
+    for (uint64_t step = 1; step < hi - lo; step *= 2) {
+      double end = RepeatAdd(started, duration, hi - step);
+      if (before(end)) {
+        lo = hi - step;
+        lo_end = end;
+        break;
+      }
+      hi -= step;
+    }
+  }
+  while (hi - lo > 1) {
+    uint64_t mid = lo + (hi - lo) / 2;
+    double end = RepeatAdd(lo_end, duration, mid - lo);
+    if (before(end)) {
+      lo = mid;
+      lo_end = end;
+    } else {
+      hi = mid;
+    }
+  }
+  return {lo, lo_end};
+}
+
 // One active decode sequence in a fault run's slot array.
 struct DecodeSlot {
   int request;
@@ -236,6 +316,12 @@ struct SimScratch {
   std::vector<uint64_t> d_run_left;
   std::vector<double> d_run_end;
   std::vector<uint64_t> d_coalesced;
+  // Backlog arming's cursor into a coalesced run: a step start (and the
+  // skipped steps left after it) no later than the run's next boundary at
+  // the last arming. Each arming walks on from it, so it costs the steps
+  // since the last one rather than a fresh count from catch_up's position.
+  std::vector<double> d_probe_started;
+  std::vector<uint64_t> d_probe_left;
   // Fault runs only: the slot array in the reference engine's order (its
   // swap-remove permutation fixes the requeue order of a killed batch),
   // each request's position in it, and scratch for the replay.
@@ -300,6 +386,8 @@ struct SimScratch {
     d_step_token.push_back(0);
     d_run_left.push_back(0);
     d_run_end.push_back(0.0);
+    d_probe_started.push_back(0.0);
+    d_probe_left.push_back(0);
     if (d_coalesced.size() <= (i >> 6)) {
       d_coalesced.push_back(0);
     }
@@ -357,6 +445,8 @@ struct SimScratch {
     d_step_token.clear();
     d_run_left.clear();
     d_run_end.clear();
+    d_probe_started.clear();
+    d_probe_left.clear();
     d_coalesced.clear();
     slot_pos.clear();
     finished_pos.clear();
@@ -696,11 +786,11 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   // events of their own. So the instance pushes one step-done event for the
   // whole run, at the end of the step that completes something, and
   // catch_up replays the skipped steps' accounting when something needs it:
-  // a prefill landing that leaves work queued (cut at the next boundary), a
-  // failure or degrade transition on the instance, or an autoscaler tick
-  // (which reads busy time). Events that sort before kDecodeStepDone at
-  // time T see only the steps ending strictly before T; later kinds see
-  // those ending at T too.
+  // queued work (the armed run is cut at its next boundary, see backlog
+  // arming below), a failure or degrade transition on the instance, or an
+  // autoscaler tick (which reads busy time). Events that sort before
+  // kDecodeStepDone at time T see only the steps ending strictly before T;
+  // later kinds see those ending at T too.
   int coalesced_count = 0;
   auto is_coalesced = [&](int i) {
     return (S.d_coalesced[static_cast<size_t>(i) >> 6] >> (static_cast<unsigned>(i) & 63)) & 1;
@@ -741,37 +831,28 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
 
   // Replays the skipped steps of instance i's coalesced run that end before
   // t (or at t, if `inclusive`): each completes, then the next one starts.
-  // Busy time and the batch-time product take their adds one by one, in
-  // step order, exactly as the per-step events made them. Never consumes
-  // the run's final step, which its live event accounts.
+  // Busy time and the batch-time product get exactly the bits their adds,
+  // one per step in step order, gave under the per-step events (RepeatAdd).
+  // Never consumes the run's final step, which its live event accounts.
   auto catch_up = [&](int i, double t, bool inclusive) {
-    uint64_t left = S.d_run_left[i];
     const double duration = S.d_step_duration[i];
-    const double batch = static_cast<double>(S.d_active_count[i]);
-    double started = S.d_step_started[i];
-    double busy = S.d_busy_time[i];
-    double product = S.d_batch_time_product[i];
-    size_t k = 0;
-    for (double end = started + duration; left > 0 && (end < t || (inclusive && end == t));
-         end = started + duration) {
-      started = end;
-      busy += duration;
-      product += batch * duration;
-      --left;
-      ++k;
-    }
-    assert((left > 0 || started + duration == S.d_run_end[i]) &&
+    const StepsBefore done =
+        CountStepsBefore(S.d_step_started[i], duration, S.d_run_left[i], t, inclusive);
+    const uint64_t left = S.d_run_left[i] - done.count;
+    assert((left > 0 || done.end + duration == S.d_run_end[i]) &&
            "catch_up disagrees with the coalesced run's final step time");
-    if (k == 0) {
+    if (done.count == 0) {
       return;
     }
-    account_steps(i, k);
-    S.d_step_count[i] += k;
-    S.d_step_started[i] = started;
-    S.d_busy_time[i] = busy;
-    S.d_batch_time_product[i] = product;
+    const double batch = static_cast<double>(S.d_active_count[i]);
+    account_steps(i, done.count);
+    S.d_step_count[i] += done.count;
+    S.d_step_started[i] = done.end;
+    S.d_busy_time[i] = RepeatAdd(S.d_busy_time[i], duration, done.count);
+    S.d_batch_time_product[i] =
+        RepeatAdd(S.d_batch_time_product[i], batch * duration, done.count);
     S.d_run_left[i] = left;
-    progress_now = std::max(progress_now, started);
+    progress_now = std::max(progress_now, done.end);
   };
 
   // Ends instance i's coalesced run at the step in flight at `now`, for an
@@ -792,6 +873,66 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         bits &= bits - 1;
         f(i);
       }
+    }
+  };
+
+  // --- backlog arming ---
+  // Queued decode work must be admitted at the first step boundary any
+  // instance that can take it reaches. Non-coalesced instances stop at every
+  // boundary anyway; of the coalesced runs, only the one that reaches a
+  // boundary first — smallest (next boundary, index) among those with batch
+  // room that are not draining — is cut. That is the armed instance. A full
+  // or draining run cannot admit before its final step, whose event is live
+  // anyway. During a backlog the candidates only drop out: a run's batch is
+  // fixed until its final step, draining is never undone, and no run
+  // coalesces while work is queued. So the armed instance stays first until
+  // its step-done fires; it is re-chosen then and when a failure kills it,
+  // if work is still queued, and when a landing starts a fresh backlog (runs
+  // coalesced since the last one drained may reach a boundary sooner).
+  // Cutting a run never changes a metric, so leaving the rest running is
+  // exact.
+  int armed = -1;
+  const int max_decode_batch = stepper.MaxDecodeBatch();
+  auto can_admit = [&](int i) {
+    return !(S.d_state[i] & kDraining) && S.d_active_count[i] < max_decode_batch;
+  };
+  // The end of the first step of i's run that ends at or after `now`: where
+  // cut_run would put the fresh event.
+  auto next_boundary = [&](int i) {
+    const double duration = S.d_step_duration[i];
+    const StepsBefore done = CountStepsBefore(S.d_probe_started[i], duration,
+                                              S.d_probe_left[i], now, /*inclusive=*/false);
+    S.d_probe_started[i] = done.end;
+    S.d_probe_left[i] -= done.count;
+    return done.end + duration;
+  };
+  auto arm = [&]() {
+    armed = -1;
+    if (coalesced_count == 0 || decode_queue.empty()) {
+      return;
+    }
+    double armed_boundary = 0.0;
+    bool boundary_known = false;  // a lone candidate needs no boundary math
+    for_each_coalesced([&](int i) {
+      if (!can_admit(i)) {
+        return;
+      }
+      if (armed < 0) {
+        armed = i;
+        return;
+      }
+      if (!boundary_known) {
+        armed_boundary = next_boundary(armed);
+        boundary_known = true;
+      }
+      double boundary = next_boundary(i);
+      if (boundary < armed_boundary) {  // ascending scan: a tie keeps the lower index
+        armed = i;
+        armed_boundary = boundary;
+      }
+    });
+    if (armed >= 0) {
+      cut_run(armed);
     }
   };
 
@@ -846,13 +987,12 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     if (decode_queue.empty()) {
       steps = (heap.front() >> request_bits) - S.d_step_count[i];
     }
-    double end = t + duration;
-    for (uint64_t k = 1; k < steps; ++k) {
-      end += duration;
-    }
+    double end = RepeatAdd(t, duration, steps);
     S.d_run_left[i] = steps - 1;
     if (steps > 1) {
       S.d_run_end[i] = end;
+      S.d_probe_started[i] = t;
+      S.d_probe_left[i] = steps - 1;
       S.d_coalesced[static_cast<size_t>(i) >> 6] |= 1ull << (static_cast<unsigned>(i) & 63);
       ++coalesced_count;
     }
@@ -1029,6 +1169,10 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   };
 
   auto fail_decode = [&](int i, int domain) {
+    if (i == armed) {
+      // Arming cut i's run, so i is no candidate: the next one takes over.
+      arm();
+    }
     if (is_coalesced(i)) {
       // Steps that finished before the failure still count, at the
       // degraded state they ran under.
@@ -1256,10 +1400,23 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   };
 
   for (;;) {
-    // Coalescing invariant, after every event: queued decode work cut
-    // every coalesced run (see the prefill-landing handler).
-    assert((coalesced_count == 0 || decode_queue.empty()) &&
-           "an instance is coalesced while decode work is queued");
+#ifndef NDEBUG
+    // Arming invariant, after every event: with decode work queued, no
+    // coalesced run that could admit it reaches a boundary, by (time,
+    // index), before the armed instance's live step ends. Arming cut that
+    // run, so its live event ends the step in flight.
+    if (coalesced_count > 0 && !decode_queue.empty()) {
+      for_each_coalesced([&](int i) {
+        if (can_admit(i)) {
+          assert(armed >= 0 && "decode work is queued but no run is armed");
+          double armed_end = S.d_step_started[armed] + S.d_step_duration[armed];
+          double boundary = next_boundary(i);
+          assert((armed_end < boundary || (armed_end == boundary && armed < i)) &&
+                 "a coalesced run reaches a step boundary before the armed instance");
+        }
+      });
+    }
+#endif
     // First instant both queues are empty after the largest outage: the
     // check runs at the top of every iteration (after the previous item
     // fully processed), gated on drain_pending so fault-free runs never
@@ -1419,6 +1576,9 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         retire_decode(i, S.d_drain_reason[i]);
       }
       try_start_decode_step(now, i);
+      if (i == armed) {
+        arm();  // work still queued passes to the next run to reach a boundary
+      }
       continue;
     }
     if (event.kind == ServeEventKind::kPrefillDone) {
@@ -1427,6 +1587,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         continue;  // the pass was killed by a failure before it finished
       }
       progress_now = now;
+      const bool fresh_backlog = decode_queue.empty();
       std::vector<int>& slots = S.p_batch[static_cast<size_t>(i)];
       for (int req : slots) {
         // A retried request's first token was delivered by its first
@@ -1450,10 +1611,8 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       }
       try_start_prefill(now);
       try_start_decode_step(now, -1);
-      if (coalesced_count > 0 && !decode_queue.empty()) {
-        // Work is left queued: every coalesced instance must admit it at
-        // its next step boundary.
-        for_each_coalesced(cut_run);
+      if (fresh_backlog) {
+        arm();  // a no-op unless work is left queued
       }
       continue;
     }

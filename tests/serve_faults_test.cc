@@ -749,6 +749,78 @@ TEST(SimulatorFaults, SlotOrderReplayMatchesReferenceRequeueOrder) {
   ExpectSameServeMetrics(a, b);
 }
 
+// --- backlog arming under churn ---
+// With decode work queued, only the coalesced run that reaches a step
+// boundary first is cut (the armed instance). Decode failures every second
+// per instance with 0.2 s repairs keep taking the armed instance down and
+// putting ready instances back: a recovering instance takes queued work at
+// once, so a backlog can drain before the armed instance's boundary.
+
+struct ArmingChurn {
+  int prefill_instances;
+  int max_prefill_batch;
+  int decode_instances;
+  double base_step_s;
+};
+
+void ExpectArmingUnderChurnMatchesReference(const ArmingChurn& churn, uint64_t seed) {
+  WorkloadSpec spec;
+  spec.arrival_rate_per_s = 14.0;
+  spec.duration_s = 30.0;
+  spec.median_prompt_tokens = 800;
+  spec.prompt_sigma = 0.5;
+  spec.median_output_tokens = 120;
+  spec.output_sigma = 0.7;
+  spec.seed = seed;
+  auto requests = GenerateWorkload(spec);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].class_id = static_cast<int>(i % 2);
+  }
+  ServeCallbacks cb;
+  cb.prefill_time = [](int batch) { return 0.01 * std::sqrt(batch); };
+  cb.decode_step_time = [base = churn.base_step_s](int batch) { return base + 5e-3 * batch; };
+  cb.max_prefill_batch = churn.max_prefill_batch;
+  cb.max_decode_batch = 16;
+  ServeClusterConfig config;
+  config.prefill_instances = churn.prefill_instances;
+  config.decode_instances = churn.decode_instances;
+  config.horizon_s = spec.duration_s;
+  config.num_classes = 2;
+  config.faults.enabled = true;
+  config.faults.decode_failure_rate_per_s = 1.0;
+  config.faults.repair_s = 0.2;
+  config.faults.retry_policy = FaultRetryPolicy::kRetry;
+  config.faults.seed = FaultSubstreamSeed(seed);
+  ServeMetrics a = RunServeSimulation(requests, config, TableOf(cb));
+  ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+  EXPECT_GT(a.retried_requests, 100);
+  ExpectSameServeMetrics(a, b);
+}
+
+TEST(SimulatorFaults, ArmedInstanceFailureHandsTheBacklogOnLikeTheReference) {
+  // Long steps (55-130 ms) on twelve decode instances fed by one prefill
+  // instance: the armed instance waits long for its boundary, and failures
+  // often kill it with work still queued. The run that reaches a boundary
+  // next must take the backlog over.
+  for (uint64_t seed : {1, 2}) {
+    SCOPED_TRACE(seed);
+    ExpectArmingUnderChurnMatchesReference({1, 2, 12, 0.05}, seed);
+  }
+}
+
+TEST(SimulatorFaults, FreshBacklogRearmsWhileAnEarlierArmIsPendingLikeTheReference) {
+  // Four prefill instances land single requests often on sixteen decode
+  // instances. When a recovery drains a backlog before the armed
+  // instance's boundary, the next landing starts a fresh backlog while
+  // that arm is still pending; the recovered instance and any run that
+  // coalesced since may reach a boundary sooner, so arming must choose
+  // again.
+  for (uint64_t seed : {1, 2}) {
+    SCOPED_TRACE(seed);
+    ExpectArmingUnderChurnMatchesReference({4, 1, 16, 0.001}, seed);
+  }
+}
+
 TEST(SimulatorFaults, DroppedRunEndsTheMakespanAtItsLastFinishedStep) {
   // One request decoding alone is one coalesced run. A decode failure under
   // the drop policy kills it and nothing completes afterwards, so the

@@ -578,5 +578,118 @@ TEST(Simulator, AutoscaleTickOnACoalescedStepBoundaryMatchesReference) {
   ExpectSameServeMetrics(a, b);
 }
 
+// --- backlog arming ---
+// While decode work is queued, only the coalesced run that reaches a step
+// boundary first (smallest time, then index, among runs with batch room
+// that are not draining) is cut; every other run keeps coalescing. Wide
+// decode pools give arming many candidates to choose from.
+
+std::vector<Request> ArmingWorkload(double rate_per_s, double duration_s, uint64_t seed) {
+  WorkloadSpec spec;
+  spec.arrival_rate_per_s = rate_per_s;
+  spec.duration_s = duration_s;
+  spec.median_prompt_tokens = 800;
+  spec.prompt_sigma = 0.5;
+  spec.median_output_tokens = 240;
+  spec.output_sigma = 0.7;
+  spec.seed = seed;
+  auto requests = GenerateWorkload(spec);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].class_id = static_cast<int>(i % 2);
+  }
+  return requests;
+}
+
+TEST(Simulator, ArmingPassesOverFullCoalescedRunsLikeTheReference) {
+  // Twelve decode instances with room for three sequences each, fed by
+  // eight-request prefill batches: when a backlog lands, many coalesced
+  // runs are full. They admit only at their final step; the armed run is
+  // the first with room.
+  ServeCallbacks cb = SimpleCallbacks(0.05, 2e-3, 5e-3);
+  cb.max_decode_batch = 3;
+  StepTimeTable table = TableOf(cb);
+  for (uint64_t seed : {1, 2}) {
+    SCOPED_TRACE(seed);
+    auto requests = ArmingWorkload(10.0, 30.0, seed);
+    ServeClusterConfig config;
+    config.prefill_instances = 1;
+    config.decode_instances = 12;
+    config.horizon_s = 30.0;
+    config.num_classes = 2;
+    ServeMetrics a = RunServeSimulation(requests, config, table);
+    ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+    EXPECT_GT(a.completed_requests, 200);
+    ExpectSameServeMetrics(a, b);
+  }
+}
+
+TEST(Simulator, ArmingSkipsADrainingCoalescedRunLikeTheReference) {
+  // Sixteen busy decode instances and an autoscaler that drains one every
+  // second while nothing is queued (utilization is always below 0.99) down
+  // to four: the highest-index live instance is usually mid-run when
+  // drained, so it finishes its batch without admitting and is never
+  // armed.
+  ServeCallbacks cb = SimpleCallbacks(0.05, 1e-3, 5e-3);
+  StepTimeTable table = TableOf(cb);
+  auto requests = ArmingWorkload(8.0, 40.0, 3);
+  ServeClusterConfig config;
+  config.prefill_instances = 1;
+  config.decode_instances = 16;
+  config.horizon_s = 40.0;
+  config.num_classes = 2;
+  config.autoscaler.enabled = true;
+  config.autoscaler.interval_s = 1.0;
+  config.autoscaler.delay_s = 1.0;
+  config.autoscaler.min_prefill_instances = 1;
+  config.autoscaler.min_decode_instances = 4;
+  config.autoscaler.max_decode_instances = 16;
+  config.autoscaler.scale_up_utilization = 2.0;
+  config.autoscaler.scale_down_utilization = 0.99;
+  config.autoscaler.prefill_tokens_per_s = 1e12;
+  config.autoscaler.decode_tokens_per_s = 1e12;
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+  int decode_drains = 0;
+  for (const ScaleEvent& e : a.scale_events) {
+    if (e.pool == ScalePool::kDecode && e.delta < 0) {
+      ++decode_drains;
+    }
+  }
+  EXPECT_EQ(decode_drains, 12);
+  ExpectSameServeMetrics(a, b);
+}
+
+TEST(Simulator, ArmingBreaksEqualBoundariesByIndexLikeTheReference) {
+  // Binary-fraction times on the callback path (3/64 s passes, 1/64 s or
+  // 1/32 s steps, arrivals on a 3/8 s grid) keep every sum exact, so every
+  // step boundary in the pool lies on one 1/64 s grid and runs on several
+  // instances reach the same boundary together. The lowest index admits
+  // first, as the event order runs them.
+  ServeCallbacks cb;
+  cb.prefill_time = [](int) { return 3.0 / 64.0; };
+  cb.decode_step_time = [](int batch) { return batch <= 2 ? 1.0 / 64.0 : 1.0 / 32.0; };
+  cb.max_prefill_batch = 4;
+  cb.max_decode_batch = 4;
+  std::vector<Request> requests;
+  for (int i = 0; i < 160; ++i) {
+    Request r;
+    r.id = i;
+    r.class_id = i % 2;
+    r.arrival_s = 0.375 * (i / 2);  // pairs, so prefill batches vary
+    r.prompt_tokens = 500;
+    r.output_tokens = 60 + (i * 97) % 400;
+    requests.push_back(r);
+  }
+  ServeClusterConfig config;
+  config.prefill_instances = 1;
+  config.decode_instances = 8;
+  config.horizon_s = 60.0;
+  config.num_classes = 2;
+  ServeMetrics a = RunServeSimulation(requests, config, cb);
+  ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+  EXPECT_EQ(a.completed_requests, 160);
+  ExpectSameServeMetrics(a, b);
+}
+
 }  // namespace
 }  // namespace litegpu

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "src/util/format.h"
+#include "src/util/fp_repeat.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
@@ -240,6 +244,89 @@ TEST(Histogram, BucketsAndClamping) {
   EXPECT_EQ(h.total(), 4u);
   EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
   EXPECT_DOUBLE_EQ(h.bucket_hi(9), 10.0);
+}
+
+// --- fp_repeat ---
+
+double PlainRepeatAdd(double a, double c, uint64_t k) {
+  for (; k > 0; --k) {
+    a += c;
+  }
+  return a;
+}
+
+// Ulp of the binade holding x > 0.
+double UlpOf(double x) { return std::ldexp(1.0, std::ilogb(x) - 52); }
+
+// A random double in [2^lo, 2^(lo + binades)), mantissa drawn first.
+double RandomInBinades(Rng& rng, int lo, int binades) {
+  double mantissa = 1.0 + rng.NextDouble();
+  return std::ldexp(mantissa, lo + static_cast<int>(rng.NextBelow(binades)));
+}
+
+void ExpectRepeatAddExact(double a, double c, uint64_t k) {
+  double want = PlainRepeatAdd(a, c, k);
+  double got = RepeatAdd(a, c, k);
+  EXPECT_EQ(std::memcmp(&want, &got, sizeof want), 0)
+      << std::hexfloat << "a=" << a << " c=" << c << " k=" << k << " want=" << want
+      << " got=" << got;
+}
+
+TEST(RepeatAdd, MatchesThePlainLoopBitForBit) {
+  Rng rng(1515);
+  auto count = [&](uint64_t max_k) { return rng.NextBelow(max_k + 1); };
+  for (int n = 0; n < 300; ++n) {
+    double c = RandomInBinades(rng, -30, 60);
+    // From zero and from below c: the first adds each cross a binade.
+    ExpectRepeatAddExact(0.0, c, count(5000));
+    double below = c * rng.NextDouble();
+    ExpectRepeatAddExact(below, c, count(5000));
+    // From far above c: long in-binade jumps.
+    double above = c * RandomInBinades(rng, 0, 40);
+    ExpectRepeatAddExact(above, c, count(20000));
+  }
+}
+
+TEST(RepeatAdd, TiesAndAddsBelowHalfAnUlp) {
+  Rng rng(1516);
+  for (int n = 0; n < 400; ++n) {
+    double a = RandomInBinades(rng, -10, 40);
+    double u = UlpOf(a);
+    // Exactly half an ulp, and odd multiples of half an ulp of this binade
+    // or a neighbouring one: round-to-even decides each add, from an odd
+    // and from an even starting value.
+    uint64_t odd = 2 * rng.NextBelow(500) + 1;
+    int shift = static_cast<int>(rng.NextBelow(4)) - 1;
+    for (double c : {u / 2, std::ldexp(u / 2 * static_cast<double>(odd), shift)}) {
+      uint64_t k = rng.NextBelow(100000);
+      ExpectRepeatAddExact(a, c, k);
+      ExpectRepeatAddExact(std::nextafter(a, 2 * a), c, k);
+    }
+    // Below half an ulp: no add changes anything.
+    double tiny = u / 2 * rng.NextDouble();
+    uint64_t k = rng.NextBelow(100000);
+    ExpectRepeatAddExact(a, tiny, k);
+    EXPECT_EQ(RepeatAdd(a, tiny, 1000000), a);
+  }
+}
+
+TEST(RepeatAdd, LongRunsAcrossSeveralBinades) {
+  Rng rng(1517);
+  for (int n = 0; n < 12; ++n) {
+    // Step-time-like addends over a million adds from a small start: the
+    // sum crosses ~20 binades, and decode-run-like sums from large starts.
+    double c = 1e-3 * (1.0 + rng.NextDouble());
+    ExpectRepeatAddExact(c * rng.NextDouble(), c, 1000000);
+    ExpectRepeatAddExact(1e4 * rng.NextDouble(), c, 1000000);
+  }
+  // Short runs take the plain loop; the edge cases keep its bits.
+  for (uint64_t k = 0; k < 2 * kRepeatAddMinJump; ++k) {
+    ExpectRepeatAddExact(0.75, 0.1, k);
+  }
+  ExpectRepeatAddExact(-3.0, 0.25, 100);
+  ExpectRepeatAddExact(std::numeric_limits<double>::max() / 2, 1e300, 100);
+  ExpectRepeatAddExact(std::numeric_limits<double>::denorm_min(),
+                       std::numeric_limits<double>::denorm_min() * 3, 100000);
 }
 
 // --- rng ---
