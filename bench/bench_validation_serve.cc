@@ -1,7 +1,7 @@
 // Validation V1: the analytic Figure-3 capacities vs the discrete-event
 // serving simulator. We take the search's best decode/prefill configurations
 // for H100 and Lite+MemBW, build a phase-split cluster from them through the
-// PerfModel-backed callbacks (the same path the `serve` study uses), drive
+// PerfModels' StepTimeTable (the same path the `serve` study uses), drive
 // it with a Poisson workload at increasing fractions of the predicted
 // capacity, and check that (a) measured throughput tracks the analytic
 // number and (b) latency SLOs hold below capacity and collapse above it.

@@ -5,19 +5,15 @@
 // This file preserves the previous std::priority_queue + array-of-structs
 // implementation so the bench and tests can (a) assert the new core's
 // metrics are bit-identical on every scenario shape, and (b) measure the
-// speedup against the real old code rather than a synthetic stand-in —
-// the same discipline PR 4 used for StepTimeTable vs raw callbacks. Not
-// used by any production path; only bench_serve_scale and tests link it.
+// speedup against the real old code rather than a synthetic stand-in.
+// Not used by any production path; only bench_serve_scale and tests link
+// it.
 
 #pragma once
 
 #include "src/serve/simulator.h"
 
 namespace litegpu {
-
-ServeMetrics RunServeSimulationReference(const std::vector<Request>& requests,
-                                         const ServeClusterConfig& config,
-                                         const ServeCallbacks& callbacks);
 
 ServeMetrics RunServeSimulationReference(const std::vector<Request>& requests,
                                          const ServeClusterConfig& config,

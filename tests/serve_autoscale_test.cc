@@ -13,6 +13,7 @@
 #include "src/core/scenario.h"
 #include "src/serve/simulator.h"
 #include "src/serve/workload.h"
+#include "tests/serve_identity.h"
 
 namespace litegpu {
 namespace {
@@ -494,9 +495,8 @@ TEST(Simulator, PredictiveDemandHistoryStaysBoundedByTheForecastWindow) {
     spec.duration_s = horizon_s;
     spec.median_prompt_tokens = 200;
     spec.median_output_tokens = 16;
-    ServeCallbacks cb;
-    cb.prefill_time = [](int batch) { return 0.01 * batch; };
-    cb.decode_step_time = [](int) { return 0.005; };
+    StepTimeTable table =
+        TableOf([](int batch) { return 0.01 * batch; }, [](int) { return 0.005; }, 8, 256);
     ServeClusterConfig config;
     config.prefill_instances = 2;
     config.decode_instances = 2;
@@ -508,7 +508,7 @@ TEST(Simulator, PredictiveDemandHistoryStaysBoundedByTheForecastWindow) {
     config.autoscaler.forecast_window_s = 5.0;
     config.autoscaler.prefill_tokens_per_s = 40000.0;
     config.autoscaler.decode_tokens_per_s = 4000.0;
-    ServeMetrics m = RunServeSimulation(GenerateWorkload(spec), config, cb);
+    ServeMetrics m = RunServeSimulation(GenerateWorkload(spec), config, table);
     EXPECT_GT(m.peak_demand_entries, 0u) << "predictive path never ran";
     return m.peak_demand_entries;
   };

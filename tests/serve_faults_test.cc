@@ -2,8 +2,8 @@
 // availability cross-check against the closed forms in
 // src/reliability/failure_model.h (satellite of the serve-path fault work,
 // mirroring how McSim is validated), and the serve-loop integration —
-// conservation under kill/retry/drop, table-vs-callback fault-log identity,
-// and the disabled path staying inert.
+// conservation under kill/retry/drop, fault-log identity with the reference
+// engine, and the disabled path staying inert.
 
 #include <gtest/gtest.h>
 
@@ -132,13 +132,9 @@ TEST(FaultAvailability, SparesMaskFailures) {
 
 // --- serve-loop integration ---
 
-ServeCallbacks SimpleCallbacks() {
-  ServeCallbacks cb;
-  cb.prefill_time = [](int batch) { return 0.05 * std::sqrt(batch); };
-  cb.decode_step_time = [](int batch) { return 5e-3 + 1e-4 * batch; };
-  cb.max_prefill_batch = 8;
-  cb.max_decode_batch = 64;
-  return cb;
+StepTimeTable SimpleTable() {
+  return TableOf([](int batch) { return 0.05 * std::sqrt(batch); },
+                 [](int batch) { return 5e-3 + 1e-4 * batch; }, 8, 64);
 }
 
 std::vector<Request> FixedRequests(int n, double spacing_s, int output_tokens = 32) {
@@ -176,7 +172,7 @@ TEST(SimulatorFaults, DisabledFaultsStayInert) {
   ServeClusterConfig config;
   config.prefill_instances = 2;
   config.decode_instances = 2;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_TRUE(m.fault_events.empty());
   EXPECT_EQ(m.retried_requests, 0);
   EXPECT_EQ(m.dropped_requests, 0);
@@ -192,7 +188,7 @@ TEST(SimulatorFaults, RetryPolicyConservesRequests) {
   config.decode_instances = 2;
   config.horizon_s = 10.0;
   config.faults = ChurnyFaults(FaultRetryPolicy::kRetry);
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   // Retried work always re-serves: nothing is dropped, everything admitted
   // eventually completes.
   EXPECT_EQ(m.completed_requests, m.admitted_requests);
@@ -234,7 +230,7 @@ TEST(SimulatorFaults, DropPolicyDropsKilledRequests) {
   config.decode_instances = 2;
   config.horizon_s = 10.0;
   config.faults = ChurnyFaults(FaultRetryPolicy::kDrop);
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_GT(m.dropped_requests, 0);
   EXPECT_EQ(m.retried_requests, 0);
   EXPECT_EQ(m.completed_requests + m.dropped_requests, m.admitted_requests);
@@ -249,50 +245,30 @@ TEST(SimulatorFaults, RetryBudgetFallsBetweenRetryAndDrop) {
   config.horizon_s = 10.0;
   config.faults = ChurnyFaults(FaultRetryPolicy::kRetryWithBudget);
   config.faults.retry_budget = 1;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   // Every admitted request either completes or exhausts its budget.
   EXPECT_EQ(m.completed_requests + m.dropped_requests, m.admitted_requests);
   EXPECT_GT(m.retried_requests, 0);
   // With budget 0 the policy degenerates to drop-on-first-kill.
   ServeClusterConfig no_budget = config;
   no_budget.faults.retry_budget = 0;
-  ServeMetrics z = RunServeSimulation(requests, no_budget, SimpleCallbacks());
+  ServeMetrics z = RunServeSimulation(requests, no_budget, SimpleTable());
   EXPECT_EQ(z.retried_requests, 0);
   EXPECT_EQ(z.completed_requests + z.dropped_requests, z.admitted_requests);
 }
 
-TEST(SimulatorFaults, FaultLogBitIdenticalOnTableAndCallbackPaths) {
-  ServeCallbacks cb = SimpleCallbacks();
-  StepTimeTable table = TableOf(cb);
-
+TEST(SimulatorFaults, FaultLogBitIdenticalToReference) {
   auto requests = FixedRequests(400, 0.01, 32);
   ServeClusterConfig config;
   config.prefill_instances = 2;
   config.decode_instances = 2;
   config.horizon_s = 5.0;
   config.faults = ChurnyFaults(FaultRetryPolicy::kRetry);
-  ServeMetrics a = RunServeSimulation(requests, config, cb);
-  ServeMetrics b = RunServeSimulation(requests, config, table);
-  EXPECT_EQ(a.completed_requests, b.completed_requests);
-  EXPECT_EQ(a.retried_requests, b.retried_requests);
-  EXPECT_EQ(a.dropped_requests, b.dropped_requests);
-  EXPECT_EQ(a.lost_tokens, b.lost_tokens);
-  EXPECT_EQ(a.output_tokens, b.output_tokens);
-  EXPECT_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_EQ(a.prefill_fault_downtime_s, b.prefill_fault_downtime_s);
-  EXPECT_EQ(a.decode_fault_downtime_s, b.decode_fault_downtime_s);
-  ASSERT_EQ(a.fault_events.size(), b.fault_events.size());
-  for (size_t i = 0; i < a.fault_events.size(); ++i) {
-    const FaultEvent& x = a.fault_events[i];
-    const FaultEvent& y = b.fault_events[i];
-    EXPECT_EQ(x.time_s, y.time_s) << i;
-    EXPECT_EQ(x.kind, y.kind) << i;
-    EXPECT_EQ(x.pool, y.pool) << i;
-    EXPECT_EQ(x.instance, y.instance) << i;
-    EXPECT_EQ(x.killed_requests, y.killed_requests) << i;
-    EXPECT_EQ(x.lost_tokens, y.lost_tokens) << i;
-    EXPECT_EQ(x.spares_free, y.spares_free) << i;
-  }
+  StepTimeTable table = SimpleTable();
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
+  EXPECT_FALSE(a.fault_events.empty());
+  ExpectSameServeMetrics(a, b);
 }
 
 // --- correlated failure domains ---
@@ -322,7 +298,7 @@ TEST(SimulatorFaults, DomainFailureKillsExactlyItsLiveMembers) {
     config.decode_instances = 8;   // domains of 3 -> last domain has 2
     config.horizon_s = 8.0;
     config.faults = DomainFaults(seed);
-    ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+    ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
     ASSERT_FALSE(m.fault_events.empty()) << seed;
     std::set<int> down[2];
     int outages = 0;
@@ -371,12 +347,9 @@ TEST(SimulatorFaults, DomainFailureKillsExactlyItsLiveMembers) {
   }
 }
 
-TEST(SimulatorFaults, ThreeAxisLogsBitIdenticalOnTableAndCallbackPaths) {
+TEST(SimulatorFaults, ThreeAxisLogsBitIdenticalToReference) {
   // Domains + degradation + shedding all on: fault and shed logs must stay
-  // element-wise identical between the dense-table and callback paths.
-  ServeCallbacks cb = SimpleCallbacks();
-  StepTimeTable table = TableOf(cb);
-
+  // element-wise identical to the reference engine's.
   auto requests = FixedRequests(400, 0.005, 32);
   ServeClusterConfig config;
   config.prefill_instances = 4;
@@ -392,37 +365,12 @@ TEST(SimulatorFaults, ThreeAxisLogsBitIdenticalOnTableAndCallbackPaths) {
   config.faults.degraded.multiplier = 2.0;
   config.faults.degraded.mean_duration_s = 0.5;
   config.shedding.max_queue_depth = 8;
-  ServeMetrics a = RunServeSimulation(requests, config, cb);
-  ServeMetrics b = RunServeSimulation(requests, config, table);
-  EXPECT_EQ(a.completed_requests, b.completed_requests);
-  EXPECT_EQ(a.shed_requests, b.shed_requests);
-  EXPECT_EQ(a.output_tokens, b.output_tokens);
-  EXPECT_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_EQ(a.prefill_degraded_instance_s, b.prefill_degraded_instance_s);
-  EXPECT_EQ(a.decode_degraded_instance_s, b.decode_degraded_instance_s);
-  EXPECT_EQ(a.degrade_windows, b.degrade_windows);
-  EXPECT_EQ(a.degraded_output_tokens, b.degraded_output_tokens);
-  EXPECT_EQ(a.largest_outage_time_s, b.largest_outage_time_s);
-  EXPECT_EQ(a.time_to_drain_s, b.time_to_drain_s);
-  ASSERT_EQ(a.fault_events.size(), b.fault_events.size());
-  for (size_t i = 0; i < a.fault_events.size(); ++i) {
-    const FaultEvent& x = a.fault_events[i];
-    const FaultEvent& y = b.fault_events[i];
-    EXPECT_EQ(x.time_s, y.time_s) << i;
-    EXPECT_EQ(x.kind, y.kind) << i;
-    EXPECT_EQ(x.pool, y.pool) << i;
-    EXPECT_EQ(x.instance, y.instance) << i;
-    EXPECT_EQ(x.domain, y.domain) << i;
-    EXPECT_EQ(x.killed_requests, y.killed_requests) << i;
-    EXPECT_EQ(x.lost_tokens, y.lost_tokens) << i;
-    EXPECT_EQ(x.spares_free, y.spares_free) << i;
-  }
-  ASSERT_EQ(a.shed_events.size(), b.shed_events.size());
-  for (size_t i = 0; i < a.shed_events.size(); ++i) {
-    EXPECT_EQ(a.shed_events[i].time_s, b.shed_events[i].time_s) << i;
-    EXPECT_EQ(a.shed_events[i].request, b.shed_events[i].request) << i;
-    EXPECT_EQ(a.shed_events[i].reason, b.shed_events[i].reason) << i;
-  }
+  StepTimeTable table = SimpleTable();
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
+  EXPECT_GT(a.shed_requests, 0);
+  EXPECT_GT(a.degrade_windows, 0);
+  ExpectSameServeMetrics(a, b);
 }
 
 // --- degraded states ---
@@ -438,7 +386,7 @@ TEST(SimulatorFaults, DegradedStepTimesMatchHandComputedSchedule) {
   constexpr double kRate = 0.8;
   constexpr double kMult = 3.0;
   constexpr double kMean = 0.2;
-  ServeCallbacks cb = SimpleCallbacks();
+  StepTimeTable table = SimpleTable();
   std::vector<Request> requests = FixedRequests(1, 0.0, kTokens);
   ServeClusterConfig config;
   config.prefill_instances = 1;
@@ -449,7 +397,7 @@ TEST(SimulatorFaults, DegradedStepTimesMatchHandComputedSchedule) {
   config.faults.degraded.multiplier = kMult;
   config.faults.degraded.mean_duration_s = kMean;
   config.faults.seed = FaultSubstreamSeed(42);
-  ServeMetrics m = RunServeSimulation(requests, config, cb);
+  ServeMetrics m = RunServeSimulation(requests, config, table);
   EXPECT_EQ(m.completed_requests, 1);
 
   FaultStreams replica(config.faults.seed);
@@ -469,8 +417,8 @@ TEST(SimulatorFaults, DegradedStepTimesMatchHandComputedSchedule) {
     }
     return false;
   };
-  double t = cb.prefill_time(1);  // prefill dispatched at arrival 0
-  double base = cb.decode_step_time(1);
+  double t = table.PrefillTime(1);  // prefill dispatched at arrival 0
+  double base = table.DecodeStepTime(1);
   double degraded_tokens = 0.0;
   for (int k = 0; k < kTokens; ++k) {
     double step = base;
@@ -511,7 +459,7 @@ TEST(SimulatorShedding, QueueDepthCapConservesRequests) {
   config.decode_instances = 1;
   config.horizon_s = 30.0;
   config.shedding.max_queue_depth = 16;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_GT(m.shed_requests, 0);
   EXPECT_EQ(m.dropped_requests, 0);
   EXPECT_EQ(m.admitted_requests, m.completed_requests + m.shed_requests);
@@ -526,7 +474,7 @@ TEST(SimulatorShedding, QueueDepthCapConservesRequests) {
   // dropped + shed.
   ServeClusterConfig faulty = config;
   faulty.faults = ChurnyFaults(FaultRetryPolicy::kDrop);
-  ServeMetrics fm = RunServeSimulation(requests, faulty, SimpleCallbacks());
+  ServeMetrics fm = RunServeSimulation(requests, faulty, SimpleTable());
   EXPECT_GT(fm.shed_requests, 0);
   EXPECT_EQ(fm.admitted_requests,
             fm.completed_requests + fm.dropped_requests + fm.shed_requests);
@@ -535,14 +483,14 @@ TEST(SimulatorShedding, QueueDepthCapConservesRequests) {
 TEST(SimulatorShedding, TtftDeadlineBelowOnePassShedsEverything) {
   // The TTFT estimate is at least one full-batch prefill pass, so a
   // deadline below that sheds every arrival with the deadline reason.
-  ServeCallbacks cb = SimpleCallbacks();
+  StepTimeTable table = SimpleTable();
   auto requests = FixedRequests(50, 0.01);
   ServeClusterConfig config;
   config.prefill_instances = 2;
   config.decode_instances = 2;
   config.horizon_s = 10.0;
-  config.shedding.ttft_deadline_s = 0.5 * cb.prefill_time(cb.max_prefill_batch);
-  ServeMetrics m = RunServeSimulation(requests, config, cb);
+  config.shedding.ttft_deadline_s = 0.5 * table.PrefillTime(table.max_prefill_batch());
+  ServeMetrics m = RunServeSimulation(requests, config, table);
   EXPECT_EQ(m.shed_requests, 50);
   EXPECT_EQ(m.completed_requests, 0);
   for (const ShedEvent& e : m.shed_events) {
@@ -558,12 +506,12 @@ TEST(SimulatorShedding, DisabledSheddingMatchesBaseline) {
   config.prefill_instances = 2;
   config.decode_instances = 2;
   config.horizon_s = 10.0;
-  ServeMetrics off = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics off = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_EQ(off.shed_requests, 0);
   EXPECT_TRUE(off.shed_events.empty());
   ServeClusterConfig loose = config;
   loose.shedding.max_queue_depth = 1 << 30;  // enabled but never trips
-  ServeMetrics on = RunServeSimulation(requests, loose, SimpleCallbacks());
+  ServeMetrics on = RunServeSimulation(requests, loose, SimpleTable());
   EXPECT_EQ(on.shed_requests, 0);
   EXPECT_EQ(off.makespan_s, on.makespan_s);
   EXPECT_EQ(off.output_tokens, on.output_tokens);
@@ -577,12 +525,8 @@ TEST(SimulatorFaults, RampingPoolMatchesReferenceCore) {
   // This pins the decode dispatch scan's early exit and the calendar
   // queue's width refits to the reference while the event rate climbs with
   // the pool.
-  ServeCallbacks cb;
-  cb.prefill_time = [](int batch) { return 0.02 * batch; };
-  cb.decode_step_time = [](int batch) { return 0.02 + 2e-3 * batch; };
-  cb.max_prefill_batch = 16;
-  cb.max_decode_batch = 8;
-  StepTimeTable table = TableOf(cb);
+  StepTimeTable table = TableOf([](int batch) { return 0.02 * batch; },
+                                [](int batch) { return 0.02 + 2e-3 * batch; }, 16, 8);
 
   std::vector<Request> requests = FixedRequests(2000, 0.01, 64);
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -597,7 +541,7 @@ TEST(SimulatorFaults, RampingPoolMatchesReferenceCore) {
   config.autoscaler.interval_s = 1.0;
   config.autoscaler.delay_s = 1.0;
   config.autoscaler.prefill_tokens_per_s = 1500.0 * 50.0;
-  config.autoscaler.decode_tokens_per_s = 8.0 / cb.decode_step_time(8);
+  config.autoscaler.decode_tokens_per_s = 8.0 / table.DecodeStepTime(8);
   config.faults.enabled = true;
   config.faults.prefill_failure_rate_per_s = 0.05;
   config.faults.decode_failure_rate_per_s = 0.05;
@@ -676,8 +620,7 @@ TEST(SimulatorFaults, CoalescedRunsUnderFailuresAndDegradesMatchReference) {
   for (size_t i = 0; i < requests.size(); ++i) {
     requests[i].class_id = static_cast<int>(i % 2);
   }
-  ServeCallbacks cb = SimpleCallbacks();
-  StepTimeTable table = TableOf(cb);
+  StepTimeTable table = SimpleTable();
   ServeClusterConfig config;
   config.prefill_instances = 2;
   config.decode_instances = 2;
@@ -732,7 +675,7 @@ TEST(SimulatorFaults, SlotOrderReplayMatchesReferenceRequeueOrder) {
   for (size_t i = 0; i < requests.size(); ++i) {
     requests[i].class_id = static_cast<int>(i % 3);
   }
-  ServeCallbacks cb = SimpleCallbacks();
+  StepTimeTable table = SimpleTable();
   ServeClusterConfig config;
   config.prefill_instances = 2;
   config.decode_instances = 2;
@@ -743,8 +686,8 @@ TEST(SimulatorFaults, SlotOrderReplayMatchesReferenceRequeueOrder) {
   config.faults.repair_s = 1.0;
   config.faults.retry_policy = FaultRetryPolicy::kRetry;
   config.faults.seed = FaultSubstreamSeed(11);
-  ServeMetrics a = RunServeSimulation(requests, config, TableOf(cb));
-  ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
   EXPECT_GT(a.retried_requests, 0);
   ExpectSameServeMetrics(a, b);
 }
@@ -776,11 +719,10 @@ void ExpectArmingUnderChurnMatchesReference(const ArmingChurn& churn, uint64_t s
   for (size_t i = 0; i < requests.size(); ++i) {
     requests[i].class_id = static_cast<int>(i % 2);
   }
-  ServeCallbacks cb;
-  cb.prefill_time = [](int batch) { return 0.01 * std::sqrt(batch); };
-  cb.decode_step_time = [base = churn.base_step_s](int batch) { return base + 5e-3 * batch; };
-  cb.max_prefill_batch = churn.max_prefill_batch;
-  cb.max_decode_batch = 16;
+  StepTimeTable table =
+      TableOf([](int batch) { return 0.01 * std::sqrt(batch); },
+              [base = churn.base_step_s](int batch) { return base + 5e-3 * batch; },
+              churn.max_prefill_batch, 16);
   ServeClusterConfig config;
   config.prefill_instances = churn.prefill_instances;
   config.decode_instances = churn.decode_instances;
@@ -791,8 +733,8 @@ void ExpectArmingUnderChurnMatchesReference(const ArmingChurn& churn, uint64_t s
   config.faults.repair_s = 0.2;
   config.faults.retry_policy = FaultRetryPolicy::kRetry;
   config.faults.seed = FaultSubstreamSeed(seed);
-  ServeMetrics a = RunServeSimulation(requests, config, TableOf(cb));
-  ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
   EXPECT_GT(a.retried_requests, 100);
   ExpectSameServeMetrics(a, b);
 }
@@ -826,7 +768,7 @@ TEST(SimulatorFaults, DroppedRunEndsTheMakespanAtItsLastFinishedStep) {
   // the drop policy kills it and nothing completes afterwards, so the
   // makespan is the end of the last step that finished before the failure
   // — a skipped step, replayed when the failure lands.
-  ServeCallbacks cb = SimpleCallbacks();
+  StepTimeTable table = SimpleTable();
   std::vector<Request> requests = FixedRequests(1, 0.0, 4000);
   ServeClusterConfig config;
   config.prefill_instances = 1;
@@ -837,10 +779,10 @@ TEST(SimulatorFaults, DroppedRunEndsTheMakespanAtItsLastFinishedStep) {
   config.faults.repair_s = 1.0;
   config.faults.retry_policy = FaultRetryPolicy::kDrop;
   config.faults.seed = FaultSubstreamSeed(42);
-  ServeMetrics a = RunServeSimulation(requests, config, TableOf(cb));
-  ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
   EXPECT_EQ(a.dropped_requests, 1);
-  EXPECT_GT(a.makespan_s, cb.prefill_time(1) + cb.decode_step_time(1));
+  EXPECT_GT(a.makespan_s, table.PrefillTime(1) + table.DecodeStepTime(1));
   ExpectSameServeMetrics(a, b);
 }
 
@@ -851,8 +793,8 @@ TEST(SimulatorFaults, RerunsAreDeterministic) {
   config.decode_instances = 2;
   config.horizon_s = 5.0;
   config.faults = ChurnyFaults(FaultRetryPolicy::kRetry);
-  ServeMetrics a = RunServeSimulation(requests, config, SimpleCallbacks());
-  ServeMetrics b = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics a = RunServeSimulation(requests, config, SimpleTable());
+  ServeMetrics b = RunServeSimulation(requests, config, SimpleTable());
   ASSERT_EQ(a.fault_events.size(), b.fault_events.size());
   EXPECT_EQ(a.makespan_s, b.makespan_s);
   EXPECT_EQ(a.output_tokens, b.output_tokens);

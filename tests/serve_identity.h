@@ -1,6 +1,6 @@
-// Helpers shared by the serve test files: the step-time table matching a
-// set of callbacks, and field-by-field identity between two serving runs of
-// the same point — typically the production core against
+// Helpers shared by the serve test files: a step-time table sampled from
+// two per-batch latency functions, and field-by-field identity between two
+// serving runs of the same point — typically the production core against
 // RunServeSimulationReference. gtest EXPECTs, so every mismatch is reported.
 
 #pragma once
@@ -16,14 +16,17 @@
 
 namespace litegpu {
 
-// The dense step-time table holding exactly the callbacks' values.
-inline StepTimeTable TableOf(const ServeCallbacks& cb) {
+// The dense step-time table holding prefill_fn(b) for batches
+// 1..max_prefill and decode_fn(b) for batches 1..max_decode.
+template <typename PrefillFn, typename DecodeFn>
+StepTimeTable TableOf(PrefillFn prefill_fn, DecodeFn decode_fn, int max_prefill,
+                      int max_decode) {
   std::vector<double> prefill_s, decode_s;
-  for (int b = 1; b <= cb.max_prefill_batch; ++b) {
-    prefill_s.push_back(cb.prefill_time(b));
+  for (int b = 1; b <= max_prefill; ++b) {
+    prefill_s.push_back(prefill_fn(b));
   }
-  for (int b = 1; b <= cb.max_decode_batch; ++b) {
-    decode_s.push_back(cb.decode_step_time(b));
+  for (int b = 1; b <= max_decode; ++b) {
+    decode_s.push_back(decode_fn(b));
   }
   return StepTimeTable(std::move(prefill_s), std::move(decode_s));
 }
@@ -108,6 +111,12 @@ inline void ExpectSameServeMetrics(const ServeMetrics& a, const ServeMetrics& b)
     EXPECT_EQ(x.spares_free, y.spares_free) << i;
   }
   EXPECT_EQ(a.shed_requests, b.shed_requests);
+  ASSERT_EQ(a.shed_events.size(), b.shed_events.size());
+  for (size_t i = 0; i < a.shed_events.size(); ++i) {
+    EXPECT_EQ(a.shed_events[i].time_s, b.shed_events[i].time_s) << i;
+    EXPECT_EQ(a.shed_events[i].request, b.shed_events[i].request) << i;
+    EXPECT_EQ(a.shed_events[i].reason, b.shed_events[i].reason) << i;
+  }
 }
 
 }  // namespace litegpu

@@ -15,17 +15,13 @@
 #include "src/core/scenario.h"
 #include "src/serve/simulator.h"
 #include "src/serve/workload.h"
+#include "tests/serve_identity.h"
 
 namespace litegpu {
 namespace {
 
-ServeCallbacks ConstantCallbacks() {
-  ServeCallbacks cb;
-  cb.prefill_time = [](int batch) { return 0.05 * batch; };
-  cb.decode_step_time = [](int) { return 0.01; };
-  cb.max_prefill_batch = 8;
-  cb.max_decode_batch = 64;
-  return cb;
+StepTimeTable ConstantTable() {
+  return TableOf([](int batch) { return 0.05 * batch; }, [](int) { return 0.01; }, 8, 64);
 }
 
 ServeMetrics RunShard(double horizon_s, uint64_t seed) {
@@ -41,7 +37,7 @@ ServeMetrics RunShard(double horizon_s, uint64_t seed) {
   config.horizon_s = horizon_s;
   config.stream_ttft = true;  // shard mode always streams TTFT
   config.ttft_hist_hi_s = 60.0;
-  return RunServeSimulation(GenerateWorkload(spec), config, ConstantCallbacks());
+  return RunServeSimulation(GenerateWorkload(spec), config, ConstantTable());
 }
 
 // --- substream seeds ---

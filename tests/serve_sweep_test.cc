@@ -10,7 +10,9 @@
 #include "src/perf/model.h"
 #include "src/perf/step_table.h"
 #include "src/serve/simulator.h"
+#include "src/serve/simulator_reference.h"
 #include "src/serve/workload.h"
+#include "tests/serve_identity.h"
 
 namespace litegpu {
 namespace {
@@ -191,11 +193,10 @@ TEST(Runner, ServeSweepReportIsBitIdenticalAtAnyThreadCount) {
   }
 }
 
-// The tentpole identity claim on the production deployment: the table-
-// driven fast path and the PerfModel-backed callback path agree — TTFT,
-// goodput, and utilization bit-identical, TBT percentiles within one
-// histogram bin — across load levels.
-TEST(ServeSweep, FastPathMatchesCallbackPathAcrossLoads) {
+// The identity claim on the production deployment: on the searched
+// configuration's step-time table, the production core and the reference
+// engine agree field by field across load levels.
+TEST(ServeSweep, FastPathMatchesReferenceAcrossLoads) {
   TransformerSpec model = Llama3_70B();
   GpuSpec gpu = H100();
   SearchOptions options;
@@ -207,8 +208,6 @@ TEST(ServeSweep, FastPathMatchesCallbackPathAcrossLoads) {
                           options.workload, options.engine);
   PerfModel decode_model(model, gpu, MakeTpPlan(model, decode.best.tp_degree).value(),
                          options.workload, options.engine);
-  ServeCallbacks callbacks = MakePerfModelCallbacks(prefill_model, decode_model,
-                                                    prefill.best.batch, decode.best.batch);
   StepTimeTable table = StepTimeTable::Build(prefill_model, decode_model,
                                              prefill.best.batch, decode.best.batch);
 
@@ -221,17 +220,9 @@ TEST(ServeSweep, FastPathMatchesCallbackPathAcrossLoads) {
     ServeClusterConfig cluster;
     cluster.prefill_instances = 4;
     cluster.decode_instances = 1;
-    ServeMetrics slow = RunServeSimulation(requests, cluster, callbacks);
-    ServeMetrics fast = RunServeSimulation(requests, cluster, table);
-    EXPECT_EQ(slow.ttft_s.Median(), fast.ttft_s.Median()) << load;
-    EXPECT_EQ(slow.ttft_s.P99(), fast.ttft_s.P99()) << load;
-    EXPECT_EQ(slow.decode_tokens_per_s, fast.decode_tokens_per_s) << load;
-    EXPECT_EQ(slow.prefill_utilization, fast.prefill_utilization) << load;
-    EXPECT_EQ(slow.decode_utilization, fast.decode_utilization) << load;
-    double bin = slow.tbt_s.bin_width();
-    EXPECT_NEAR(slow.tbt_s.Median(), fast.tbt_s.Median(), bin) << load;
-    EXPECT_NEAR(slow.tbt_s.P95(), fast.tbt_s.P95(), bin) << load;
-    EXPECT_NEAR(slow.tbt_s.P99(), fast.tbt_s.P99(), bin) << load;
+    SCOPED_TRACE(load);
+    ExpectSameServeMetrics(RunServeSimulation(requests, cluster, table),
+                           RunServeSimulationReference(requests, cluster, table));
   }
 }
 

@@ -173,16 +173,13 @@ TEST(MultiClassWorkload, ClassSubstreamSeedsAreStableByIndex) {
 
 // --- simulator ---
 
-ServeCallbacks SimpleCallbacks(double prefill_s = 0.1, double per_seq_step_s = 1e-4,
-                               double base_step_s = 5e-3) {
-  ServeCallbacks cb;
-  cb.prefill_time = [prefill_s](int batch) { return prefill_s * std::sqrt(batch); };
-  cb.decode_step_time = [per_seq_step_s, base_step_s](int batch) {
-    return base_step_s + per_seq_step_s * batch;
-  };
-  cb.max_prefill_batch = 8;
-  cb.max_decode_batch = 64;
-  return cb;
+StepTimeTable SimpleTable(double prefill_s = 0.1, double per_seq_step_s = 1e-4,
+                          double base_step_s = 5e-3, int max_decode_batch = 64) {
+  return TableOf([prefill_s](int batch) { return prefill_s * std::sqrt(batch); },
+                 [per_seq_step_s, base_step_s](int batch) {
+                   return base_step_s + per_seq_step_s * batch;
+                 },
+                 8, max_decode_batch);
 }
 
 std::vector<Request> FixedRequests(int n, double spacing_s, int output_tokens = 32) {
@@ -203,7 +200,7 @@ TEST(Simulator, ConservationAllRequestsComplete) {
   ServeClusterConfig config;
   config.prefill_instances = 2;
   config.decode_instances = 1;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_EQ(m.admitted_requests, 100);
   EXPECT_EQ(m.completed_requests, 100);
   EXPECT_DOUBLE_EQ(m.output_tokens, 100.0 * 32.0);
@@ -215,9 +212,7 @@ TEST(Simulator, TtftIncludesQueueingAndPrefill) {
   ServeClusterConfig config;
   config.prefill_instances = 1;
   config.decode_instances = 1;
-  ServeCallbacks cb = SimpleCallbacks(0.1);
-  cb.max_prefill_batch = 8;
-  ServeMetrics m = RunServeSimulation(requests, config, cb);
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable(0.1));
   // Work-conserving: the first arrival prefills alone (0.1 s); the rest
   // queue behind it and batch up, paying queueing delay on top.
   EXPECT_NEAR(m.ttft_s.min(), 0.1, 1e-6);
@@ -231,7 +226,7 @@ TEST(Simulator, ThroughputMatchesStepModel) {
   ServeClusterConfig config;
   config.prefill_instances = 8;
   config.decode_instances = 1;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_GT(m.mean_decode_batch, 55.0);
   EXPECT_NEAR(m.decode_tokens_per_s, 64.0 / 0.0114, 300.0);
 }
@@ -243,22 +238,21 @@ TEST(Simulator, MoreDecodeInstancesFinishFaster) {
   one.decode_instances = 1;
   ServeClusterConfig two = one;
   two.decode_instances = 2;
-  ServeMetrics a = RunServeSimulation(requests, one, SimpleCallbacks());
-  ServeMetrics b = RunServeSimulation(requests, two, SimpleCallbacks());
+  ServeMetrics a = RunServeSimulation(requests, one, SimpleTable());
+  ServeMetrics b = RunServeSimulation(requests, two, SimpleTable());
   EXPECT_EQ(a.completed_requests, 256);
   EXPECT_EQ(b.completed_requests, 256);
   EXPECT_LT(b.makespan_s, a.makespan_s);
 }
 
-TEST(Simulator, TbtSamplesMatchCallback) {
+TEST(Simulator, TbtSamplesMatchStepTimes) {
   // A single request decodes alone: every step is base + 1 * per_seq, and
   // there are exactly output_tokens steps.
   auto requests = FixedRequests(1, 0.0, 16);
   ServeClusterConfig config;
   config.prefill_instances = 1;
   config.decode_instances = 1;
-  ServeCallbacks cb = SimpleCallbacks();
-  ServeMetrics m = RunServeSimulation(requests, config, cb);
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_EQ(m.tbt_s.count(), 16u);
   EXPECT_NEAR(m.tbt_s.max(), 0.0051, 1e-12);
   EXPECT_NEAR(m.tbt_s.min(), 0.0051, 1e-12);
@@ -270,7 +264,7 @@ TEST(Simulator, HorizonStopsAdmission) {
   config.prefill_instances = 2;
   config.decode_instances = 1;
   config.horizon_s = 4.95;  // admit ~50
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_EQ(m.admitted_requests, 50);
   EXPECT_EQ(m.completed_requests, 50);
 }
@@ -284,7 +278,7 @@ TEST(Simulator, InFlightAtHorizonCountsDrainedStragglers) {
   config.prefill_instances = 2;
   config.decode_instances = 1;
   config.horizon_s = 4.95;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_EQ(m.admitted_requests, 50);
   EXPECT_EQ(m.completed_requests, 50);  // everything drains...
   EXPECT_GT(m.in_flight_at_horizon, 0);  // ...but not all of it by the horizon
@@ -294,7 +288,7 @@ TEST(Simulator, InFlightAtHorizonCountsDrainedStragglers) {
   // With no horizon pressure nothing is in flight when it passes.
   ServeClusterConfig open = config;
   open.horizon_s = 1e9;
-  ServeMetrics all = RunServeSimulation(requests, open, SimpleCallbacks());
+  ServeMetrics all = RunServeSimulation(requests, open, SimpleTable());
   EXPECT_EQ(all.admitted_requests, 100);
   EXPECT_EQ(all.in_flight_at_horizon, 0);
 }
@@ -304,7 +298,7 @@ TEST(Simulator, UtilizationBounded) {
   ServeClusterConfig config;
   config.prefill_instances = 2;
   config.decode_instances = 2;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_GT(m.prefill_utilization, 0.0);
   EXPECT_LE(m.prefill_utilization, 1.0 + 1e-9);
   EXPECT_GT(m.decode_utilization, 0.0);
@@ -328,59 +322,16 @@ TEST(Simulator, SimultaneousEventsProcessInSpecifiedOrder) {
     r.output_tokens = i == 2 ? 1 : 4;
     requests.push_back(r);
   }
-  ServeCallbacks cb;
-  cb.prefill_time = [](int) { return 1.0; };
-  cb.decode_step_time = [](int batch) { return 0.010 * batch; };
-  cb.max_prefill_batch = 1;
-  cb.max_decode_batch = 2;
+  StepTimeTable table({1.0}, {0.010, 0.020});
   ServeClusterConfig config;
   config.prefill_instances = 3;
   config.decode_instances = 2;
-  ServeMetrics m = RunServeSimulation(requests, config, cb);
+  ServeMetrics m = RunServeSimulation(requests, config, table);
   EXPECT_EQ(m.completed_requests, 3);
   EXPECT_DOUBLE_EQ(m.output_tokens, 9.0);
   EXPECT_EQ(m.tbt_s.count(), 8u);             // 4 steps per decode instance
   EXPECT_NEAR(m.tbt_s.max(), 0.020, 1e-12);   // exactly one batch-2 step
   EXPECT_NEAR(m.makespan_s, 1.05, 1e-9);
-}
-
-TEST(Simulator, TablePathBitIdenticalToCallbackPath) {
-  // A synthetic StepTimeTable holding exactly the callback values must
-  // drive the event loop to bit-identical metrics on both paths.
-  ServeCallbacks cb = SimpleCallbacks();
-  std::vector<double> prefill_s, decode_s;
-  for (int b = 1; b <= cb.max_prefill_batch; ++b) {
-    prefill_s.push_back(cb.prefill_time(b));
-  }
-  for (int b = 1; b <= cb.max_decode_batch; ++b) {
-    decode_s.push_back(cb.decode_step_time(b));
-  }
-  StepTimeTable table(std::move(prefill_s), std::move(decode_s));
-
-  auto requests = FixedRequests(400, 0.01, 32);
-  ServeClusterConfig config;
-  config.prefill_instances = 2;
-  config.decode_instances = 2;
-  config.horizon_s = 3.0;
-  ServeMetrics a = RunServeSimulation(requests, config, cb);
-  ServeMetrics b = RunServeSimulation(requests, config, table);
-  EXPECT_EQ(a.admitted_requests, b.admitted_requests);
-  EXPECT_EQ(a.completed_requests, b.completed_requests);
-  EXPECT_EQ(a.in_flight_at_horizon, b.in_flight_at_horizon);
-  EXPECT_EQ(a.output_tokens, b.output_tokens);
-  EXPECT_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_EQ(a.decode_tokens_per_s, b.decode_tokens_per_s);
-  EXPECT_EQ(a.prefill_utilization, b.prefill_utilization);
-  EXPECT_EQ(a.decode_utilization, b.decode_utilization);
-  EXPECT_EQ(a.mean_decode_batch, b.mean_decode_batch);
-  ASSERT_EQ(a.ttft_s.count(), b.ttft_s.count());
-  for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
-    EXPECT_EQ(a.ttft_s.Quantile(q), b.ttft_s.Quantile(q)) << q;
-    EXPECT_EQ(a.tbt_s.Quantile(q), b.tbt_s.Quantile(q)) << q;
-  }
-  EXPECT_EQ(a.tbt_s.count(), b.tbt_s.count());
-  EXPECT_EQ(a.tbt_s.min(), b.tbt_s.min());
-  EXPECT_EQ(a.tbt_s.max(), b.tbt_s.max());
 }
 
 TEST(Simulator, PerClassMetricsPartitionTheGlobalMetrics) {
@@ -403,7 +354,7 @@ TEST(Simulator, PerClassMetricsPartitionTheGlobalMetrics) {
   config.decode_instances = 2;
   config.horizon_s = 2.0;
   config.num_classes = 2;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   ASSERT_EQ(m.per_class.size(), 2u);
   int admitted = 0, completed = 0, in_flight = 0;
   double tokens = 0.0;
@@ -429,7 +380,7 @@ TEST(Simulator, PerClassMetricsPartitionTheGlobalMetrics) {
 
   ServeClusterConfig untracked = config;
   untracked.num_classes = 0;
-  ServeMetrics base = RunServeSimulation(requests, untracked, SimpleCallbacks());
+  ServeMetrics base = RunServeSimulation(requests, untracked, SimpleTable());
   EXPECT_TRUE(base.per_class.empty());
   EXPECT_EQ(base.admitted_requests, m.admitted_requests);
   EXPECT_EQ(base.completed_requests, m.completed_requests);
@@ -445,15 +396,15 @@ TEST(Simulator, EmptyConfigReturnsEmptyMetrics) {
   auto requests = FixedRequests(10, 0.1);
   ServeClusterConfig config;
   config.prefill_instances = 0;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_EQ(m.completed_requests, 0);
 }
 
 TEST(Simulator, NewCoreBitIdenticalToReferenceCore) {
   // The rebuilt core (calendar queue, SoA hot state, completion-heap
-  // decode scheduling) against the preserved PR 7 implementation, on the
-  // callbacks path with lognormal lengths and per-class tracking — the
-  // bench gates the table path at scale; this keeps a fast in-tree check.
+  // decode scheduling) against the preserved PR 7 implementation, with
+  // lognormal lengths and per-class tracking — the bench gates it at
+  // scale; this keeps a fast in-tree check.
   WorkloadSpec spec;
   spec.arrival_rate_per_s = 30.0;
   spec.duration_s = 20.0;
@@ -465,14 +416,14 @@ TEST(Simulator, NewCoreBitIdenticalToReferenceCore) {
   for (size_t i = 0; i < requests.size(); ++i) {
     requests[i].class_id = static_cast<int>(i % 2);
   }
-  ServeCallbacks cb = SimpleCallbacks();
+  StepTimeTable table = SimpleTable();
   ServeClusterConfig config;
   config.prefill_instances = 2;
   config.decode_instances = 3;
   config.horizon_s = spec.duration_s;
   config.num_classes = 2;
-  ServeMetrics a = RunServeSimulation(requests, config, cb);
-  ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
   EXPECT_EQ(a.admitted_requests, b.admitted_requests);
   EXPECT_EQ(a.completed_requests, b.completed_requests);
   EXPECT_EQ(a.in_flight_at_horizon, b.in_flight_at_horizon);
@@ -516,8 +467,7 @@ TEST(Simulator, CoalescedDecodeRunsMatchReferenceAtLowLoad) {
   for (size_t i = 0; i < requests.size(); ++i) {
     requests[i].class_id = static_cast<int>(i % 2);
   }
-  ServeCallbacks cb = SimpleCallbacks();
-  StepTimeTable table = TableOf(cb);
+  StepTimeTable table = SimpleTable();
   for (int decode_instances : {1, 2}) {
     SCOPED_TRACE(decode_instances);
     ServeClusterConfig config;
@@ -526,7 +476,7 @@ TEST(Simulator, CoalescedDecodeRunsMatchReferenceAtLowLoad) {
     config.horizon_s = spec.duration_s;
     config.num_classes = 2;
     ServeMetrics a = RunServeSimulation(requests, config, table);
-    ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+    ServeMetrics b = RunServeSimulationReference(requests, config, table);
     EXPECT_GT(a.completed_requests, 30);
     ExpectSameServeMetrics(a, b);
   }
@@ -541,11 +491,7 @@ TEST(Simulator, AutoscaleTickOnACoalescedStepBoundaryMatchesReference) {
   // tick reads a decode utilization of (5 - 1/8 + 1/64) / 5 = 0.978125 with
   // that step and 0.975 without it; the 0.977 threshold makes the first
   // scale-up depend on it.
-  ServeCallbacks cb;
-  cb.prefill_time = [](int) { return 0.125; };
-  cb.decode_step_time = [](int) { return 1.0 / 64.0; };
-  cb.max_prefill_batch = 4;
-  cb.max_decode_batch = 8;
+  StepTimeTable table(std::vector<double>(4, 0.125), std::vector<double>(8, 1.0 / 64.0));
   std::vector<Request> requests;
   for (int i = 0; i < 16; ++i) {
     Request r;
@@ -567,8 +513,8 @@ TEST(Simulator, AutoscaleTickOnACoalescedStepBoundaryMatchesReference) {
   // Backlog never triggers: every decision is a utilization decision.
   config.autoscaler.prefill_tokens_per_s = 1e12;
   config.autoscaler.decode_tokens_per_s = 1e12;
-  ServeMetrics a = RunServeSimulation(requests, config, cb);
-  ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
   ASSERT_FALSE(a.scale_events.empty());
   EXPECT_EQ(a.scale_events.front().time_s, 6.0);  // the tick at 5 s, plus delay
   EXPECT_EQ(a.scale_events.front().pool, ScalePool::kDecode);
@@ -605,9 +551,7 @@ TEST(Simulator, ArmingPassesOverFullCoalescedRunsLikeTheReference) {
   // eight-request prefill batches: when a backlog lands, many coalesced
   // runs are full. They admit only at their final step; the armed run is
   // the first with room.
-  ServeCallbacks cb = SimpleCallbacks(0.05, 2e-3, 5e-3);
-  cb.max_decode_batch = 3;
-  StepTimeTable table = TableOf(cb);
+  StepTimeTable table = SimpleTable(0.05, 2e-3, 5e-3, /*max_decode_batch=*/3);
   for (uint64_t seed : {1, 2}) {
     SCOPED_TRACE(seed);
     auto requests = ArmingWorkload(10.0, 30.0, seed);
@@ -617,7 +561,7 @@ TEST(Simulator, ArmingPassesOverFullCoalescedRunsLikeTheReference) {
     config.horizon_s = 30.0;
     config.num_classes = 2;
     ServeMetrics a = RunServeSimulation(requests, config, table);
-    ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+    ServeMetrics b = RunServeSimulationReference(requests, config, table);
     EXPECT_GT(a.completed_requests, 200);
     ExpectSameServeMetrics(a, b);
   }
@@ -629,8 +573,7 @@ TEST(Simulator, ArmingSkipsADrainingCoalescedRunLikeTheReference) {
   // to four: the highest-index live instance is usually mid-run when
   // drained, so it finishes its batch without admitting and is never
   // armed.
-  ServeCallbacks cb = SimpleCallbacks(0.05, 1e-3, 5e-3);
-  StepTimeTable table = TableOf(cb);
+  StepTimeTable table = SimpleTable(0.05, 1e-3, 5e-3);
   auto requests = ArmingWorkload(8.0, 40.0, 3);
   ServeClusterConfig config;
   config.prefill_instances = 1;
@@ -648,7 +591,7 @@ TEST(Simulator, ArmingSkipsADrainingCoalescedRunLikeTheReference) {
   config.autoscaler.prefill_tokens_per_s = 1e12;
   config.autoscaler.decode_tokens_per_s = 1e12;
   ServeMetrics a = RunServeSimulation(requests, config, table);
-  ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
   int decode_drains = 0;
   for (const ScaleEvent& e : a.scale_events) {
     if (e.pool == ScalePool::kDecode && e.delta < 0) {
@@ -660,16 +603,14 @@ TEST(Simulator, ArmingSkipsADrainingCoalescedRunLikeTheReference) {
 }
 
 TEST(Simulator, ArmingBreaksEqualBoundariesByIndexLikeTheReference) {
-  // Binary-fraction times on the callback path (3/64 s passes, 1/64 s or
-  // 1/32 s steps, arrivals on a 3/8 s grid) keep every sum exact, so every
-  // step boundary in the pool lies on one 1/64 s grid and runs on several
-  // instances reach the same boundary together. The lowest index admits
-  // first, as the event order runs them.
-  ServeCallbacks cb;
-  cb.prefill_time = [](int) { return 3.0 / 64.0; };
-  cb.decode_step_time = [](int batch) { return batch <= 2 ? 1.0 / 64.0 : 1.0 / 32.0; };
-  cb.max_prefill_batch = 4;
-  cb.max_decode_batch = 4;
+  // Binary-fraction times (3/64 s passes, 1/64 s or 1/32 s steps, arrivals
+  // on a 3/8 s grid) keep every sum exact, so every step boundary in the
+  // pool lies on one 1/64 s grid and runs on several instances reach the
+  // same boundary together. The lowest index admits first, as the event
+  // order runs them.
+  StepTimeTable table = TableOf([](int) { return 3.0 / 64.0; },
+                                [](int batch) { return batch <= 2 ? 1.0 / 64.0 : 1.0 / 32.0; },
+                                4, 4);
   std::vector<Request> requests;
   for (int i = 0; i < 160; ++i) {
     Request r;
@@ -685,8 +626,8 @@ TEST(Simulator, ArmingBreaksEqualBoundariesByIndexLikeTheReference) {
   config.decode_instances = 8;
   config.horizon_s = 60.0;
   config.num_classes = 2;
-  ServeMetrics a = RunServeSimulation(requests, config, cb);
-  ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
   EXPECT_EQ(a.completed_requests, 160);
   ExpectSameServeMetrics(a, b);
 }
