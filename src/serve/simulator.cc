@@ -60,6 +60,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/serve/dary_heap.h"
 #include "src/serve/event_queue.h"
 #include "src/util/fp_repeat.h"
 
@@ -226,10 +227,12 @@ struct SimScratch {
   std::vector<const char*> d_drain_reason;
   std::vector<double> d_degrade_mult, d_degrade_since;
   // Completion min-heaps + incremental counts: O(log batch) per request
-  // instead of O(batch) per step.
+  // instead of O(batch) per step. Four children per node: a full batch of
+  // 282 is ~4 levels deep instead of a binary heap's ~8 (dary_heap.h).
   std::vector<uint64_t> d_step_count;
   std::vector<int> d_active_count;
-  std::vector<std::vector<uint64_t>> d_heap;
+  std::vector<DaryMinHeap> d_heap;
+  size_t d_heap_capacity = 0;  // max decode batch: a heap never outgrows it
   std::vector<int> class_active;  // [instance * num_classes + class]
   // Step token: bumped whenever a step-done event is pushed or a failure
   // kills the step in flight, so a popped event is live iff its token
@@ -322,13 +325,16 @@ struct SimScratch {
       d_heap.emplace_back();
       d_slots.emplace_back();
     }
+    d_heap[i].reserve(d_heap_capacity);
     if (num_classes > 0) {
       class_active.resize(d_state.size() * static_cast<size_t>(num_classes), 0);
     }
   }
 
-  void Reset(int n_prefill, int n_decode, int num_classes, double bucket_width) {
+  void Reset(int n_prefill, int n_decode, int num_classes, int max_decode_batch,
+             double bucket_width) {
     events.Reset(bucket_width);
+    d_heap_capacity = static_cast<size_t>(std::max(0, max_decode_batch));
     prefill_queue.Clear();
     decode_queue.Clear();
     p_state.clear();
@@ -432,7 +438,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
                             static_cast<double>(std::max(1, config.decode_instances));
   SimScratch& S = TlsScratch();
   S.Reset(config.prefill_instances, config.decode_instances, config.num_classes,
-          hint_width);
+          table.max_decode_batch(), hint_width);
   CalendarEventQueue& events = S.events;
   IndexQueue& prefill_queue = S.prefill_queue;
   IndexQueue& decode_queue = S.decode_queue;
@@ -869,7 +875,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
 
   auto try_start_decode_step_at = [&](double t, int i) {
     const int max_batch = table.max_decode_batch();
-    std::vector<uint64_t>& heap = S.d_heap[static_cast<size_t>(i)];
+    DaryMinHeap& heap = S.d_heap[static_cast<size_t>(i)];
     // Admit waiting sequences at the step boundary (draining instances
     // only finish what they already hold).
     if (!(S.d_state[i] & kDraining)) {
@@ -885,8 +891,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         if (track_classes) {
           ++S.class_active[static_cast<size_t>(i) * ncls + static_cast<size_t>(class_of(req))];
         }
-        heap.push_back((finish << request_bits) | static_cast<uint64_t>(req));
-        std::push_heap(heap.begin(), heap.end(), std::greater<uint64_t>());
+        heap.push((finish << request_bits) | static_cast<uint64_t>(req));
         ++S.d_active_count[i];
         if (track_slots) {
           std::vector<DecodeSlot>& slots = S.d_slots[static_cast<size_t>(i)];
@@ -1456,11 +1461,9 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       // Sequences whose remaining count just hit zero are exactly the
       // completion-heap entries at the new step count.
       uint64_t done_step = ++S.d_step_count[i];
-      std::vector<uint64_t>& heap = S.d_heap[static_cast<size_t>(i)];
+      DaryMinHeap& heap = S.d_heap[static_cast<size_t>(i)];
       while (!heap.empty() && (heap.front() >> request_bits) == done_step) {
-        std::pop_heap(heap.begin(), heap.end(), std::greater<uint64_t>());
-        int req = static_cast<int>(heap.back() & request_mask);
-        heap.pop_back();
+        int req = static_cast<int>(heap.pop() & request_mask);
         ++metrics.completed_requests;
         if (track_slots) {
           S.finished_pos.push_back(S.slot_pos[static_cast<size_t>(req)]);

@@ -95,11 +95,12 @@ double MeanTraceRatePerS(const ArrivalProcess& process, double horizon_s) {
 
 namespace {
 
-int SampleLength(Rng& rng, int median, double sigma) {
+// `log_median` is std::log(median); callers take it once per class stream.
+int SampleLength(Rng& rng, int median, double log_median, double sigma) {
   if (sigma <= 0.0) {
     return median;
   }
-  double value = rng.LogNormal(std::log(static_cast<double>(median)), sigma);
+  double value = rng.LogNormal(log_median, sigma);
   return std::max(1, static_cast<int>(std::lround(value)));
 }
 
@@ -154,12 +155,16 @@ std::vector<Request> GenerateClassStream(const ClassWorkload& cls, int class_id,
   std::vector<Request> requests;
   requests.reserve(ExpectedArrivals(cls, duration_s, arrival));
   Rng rng(seed);
+  const double log_prompt = std::log(static_cast<double>(cls.median_prompt_tokens));
+  const double log_output = std::log(static_cast<double>(cls.median_output_tokens));
   auto emit = [&](double t) {
     Request r;
     r.class_id = class_id;
     r.arrival_s = t;
-    r.prompt_tokens = SampleLength(rng, cls.median_prompt_tokens, cls.prompt_sigma);
-    r.output_tokens = SampleLength(rng, cls.median_output_tokens, cls.output_sigma);
+    r.prompt_tokens =
+        SampleLength(rng, cls.median_prompt_tokens, log_prompt, cls.prompt_sigma);
+    r.output_tokens =
+        SampleLength(rng, cls.median_output_tokens, log_output, cls.output_sigma);
     requests.push_back(r);
   };
   if (arrival.kind == ArrivalKind::kTrace) {

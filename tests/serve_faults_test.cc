@@ -656,6 +656,45 @@ TEST(SimulatorFaults, CoalescedRunsUnderFailuresAndDegradesMatchReference) {
   ExpectSameServeMetrics(a, b);
 }
 
+TEST(SimulatorFaults, FullBatchHeapsKilledMidRunMatchReference) {
+  // The decode pool is held at max_decode_batch (100) with lognormal
+  // output lengths while failures clear whole completion heaps mid-run;
+  // the killed sequences requeue into the backlog and refill the heaps of
+  // the survivors and of the spare that takes over.
+  WorkloadSpec spec;
+  spec.arrival_rate_per_s = 400.0;
+  spec.duration_s = 8.0;
+  spec.median_prompt_tokens = 400;
+  spec.prompt_sigma = 0.5;
+  spec.median_output_tokens = 60;
+  spec.output_sigma = 0.7;
+  auto requests = GenerateWorkload(spec);
+  StepTimeTable table = TableOf([](int batch) { return 0.005 * std::sqrt(batch); },
+                                [](int batch) { return 5e-3 + 1e-4 * batch; }, 8, 100);
+  ServeClusterConfig config;
+  config.prefill_instances = 2;
+  config.decode_instances = 2;
+  config.horizon_s = spec.duration_s;
+  config.faults.enabled = true;
+  config.faults.decode_failure_rate_per_s = 0.5;
+  config.faults.repair_s = 1.0;
+  config.faults.spare_activation_s = 0.2;
+  config.faults.decode_spares = 1;
+  config.faults.retry_policy = FaultRetryPolicy::kRetry;
+  config.faults.seed = FaultSubstreamSeed(11);
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
+  int decode_kills = 0;
+  for (const FaultEvent& e : a.fault_events) {
+    if (e.kind == FaultEventKind::kFailure && e.pool == ScalePool::kDecode) {
+      decode_kills += e.killed_requests;
+    }
+  }
+  EXPECT_GT(decode_kills, 100);
+  EXPECT_GT(a.mean_decode_batch, 90.0);
+  ExpectSameServeMetrics(a, b);
+}
+
 TEST(SimulatorFaults, SlotOrderReplayMatchesReferenceRequeueOrder) {
   // Constant output lengths (sigma 0): every sequence admitted at one step
   // boundary finishes in one step, so completions come several to a step

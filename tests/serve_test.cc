@@ -448,6 +448,35 @@ TEST(Simulator, NewCoreBitIdenticalToReferenceCore) {
   }
 }
 
+TEST(Simulator, FullBatchCompletionHeapsMatchReference) {
+  // Arrivals well past decode capacity hold every instance at
+  // max_decode_batch (100, so each completion heap spans five 4-ary
+  // levels) with lognormal output lengths: nearly every step pops a
+  // completion and admits a replacement from the backlog.
+  WorkloadSpec spec;
+  spec.arrival_rate_per_s = 400.0;
+  spec.duration_s = 8.0;
+  spec.median_prompt_tokens = 400;
+  spec.prompt_sigma = 0.5;
+  spec.median_output_tokens = 60;
+  spec.output_sigma = 0.7;
+  auto requests = GenerateWorkload(spec);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].class_id = static_cast<int>(i % 2);
+  }
+  StepTimeTable table = SimpleTable(/*prefill_s=*/0.005, 1e-4, 5e-3, /*max_decode_batch=*/100);
+  ServeClusterConfig config;
+  config.prefill_instances = 2;
+  config.decode_instances = 2;
+  config.horizon_s = spec.duration_s;
+  config.num_classes = 2;
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
+  EXPECT_GT(a.mean_decode_batch, 90.0);
+  EXPECT_GT(a.completed_requests, 1000);
+  ExpectSameServeMetrics(a, b);
+}
+
 // --- decode-step coalescing ---
 
 TEST(Simulator, CoalescedDecodeRunsMatchReferenceAtLowLoad) {
