@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
 #include <utility>
@@ -822,6 +823,149 @@ TEST(SimulatorFaults, DroppedRunEndsTheMakespanAtItsLastFinishedStep) {
   ServeMetrics b = RunServeSimulationReference(requests, config, table);
   EXPECT_EQ(a.dropped_requests, 1);
   EXPECT_GT(a.makespan_s, table.PrefillTime(1) + table.DecodeStepTime(1));
+  ExpectSameServeMetrics(a, b);
+}
+
+// --- the instance lifecycle on both pools ---
+// Every instance, prefill or decode, runs one lifecycle: provision, fail
+// (independent or as a domain member), recover through a spare or a
+// repair, degrade and recover, drain and retire. Each cell below counts one
+// (pool x transition) pair, read back from the fault and scale logs.
+
+enum LifecycleCell {
+  kIndependentFailure,
+  kSpareMaskedFailure,
+  kDomainOutage,
+  kSpareReturned,
+  kRepaired,
+  kDegradeStarted,
+  kDegradeEnded,
+  kScaledUp,
+  kRetired,
+  kFailedWhileDraining,
+  kRetiredDegraded,
+  kNumLifecycleCells,
+};
+
+constexpr const char* kLifecycleCellNames[kNumLifecycleCells] = {
+    "independent failure", "spare-masked failure", "domain outage",
+    "spare return",        "repair",               "degrade start",
+    "degrade end",         "scale-up",             "drain -> retire",
+    "failed while draining", "retired with a degrade window open",
+};
+
+// A failure's recovery and a degrade window's end are always logged unless
+// the instance retired first: retirement stales them. So a failure that no
+// recovery follows is a draining instance that failed (and retired), and a
+// window that no end or failure closes belongs to an instance that retired
+// degraded. Instance indices are never reused, so the replay is exact.
+std::array<std::array<int, kNumLifecycleCells>, 2> LifecycleCellCounts(const ServeMetrics& m) {
+  std::array<std::array<int, kNumLifecycleCells>, 2> counts{};
+  std::vector<uint8_t> down[2], degraded[2];
+  for (const FaultEvent& e : m.fault_events) {
+    const size_t p = static_cast<size_t>(e.pool);
+    const size_t i = static_cast<size_t>(e.instance);
+    if (down[p].size() <= i) {
+      down[p].resize(i + 1, 0);
+      degraded[p].resize(i + 1, 0);
+    }
+    switch (e.kind) {
+      case FaultEventKind::kFailure:
+        ++counts[p][e.domain >= 0 ? kDomainOutage : kIndependentFailure];
+        down[p][i] = 1;
+        degraded[p][i] = 0;
+        break;
+      case FaultEventKind::kSpareActivation:
+        ++counts[p][kSpareMaskedFailure];
+        down[p][i] = 0;
+        break;
+      case FaultEventKind::kRepair:
+        ++counts[p][kRepaired];
+        down[p][i] = 0;
+        break;
+      case FaultEventKind::kSpareReturn:
+        ++counts[p][kSpareReturned];
+        break;
+      case FaultEventKind::kDegradeStart:
+        ++counts[p][kDegradeStarted];
+        degraded[p][i] = 1;
+        break;
+      case FaultEventKind::kDegradeEnd:
+        ++counts[p][kDegradeEnded];
+        degraded[p][i] = 0;
+        break;
+    }
+  }
+  for (const ScaleEvent& e : m.scale_events) {
+    ++counts[static_cast<size_t>(e.pool)][e.delta > 0 ? kScaledUp : kRetired];
+  }
+  for (size_t p = 0; p < 2; ++p) {
+    for (size_t i = 0; i < down[p].size(); ++i) {
+      counts[p][kFailedWhileDraining] += down[p][i];
+      counts[p][kRetiredDegraded] += degraded[p][i];
+    }
+  }
+  return counts;
+}
+
+TEST(SimulatorFaults, EveryLifecycleTransitionOnBothPoolsMatchesReference) {
+  // Ten-second bursts and lulls make the autoscaler grow and drain both
+  // pools over and over. Passes of 2-4 s and decode runs of seconds keep
+  // the drained instances busy long enough for churn-rate failures, domain
+  // outages and 20 s degrade windows to land on them. One spare per pool
+  // masks some failures; the rest wait out a repair.
+  std::vector<Request> requests;
+  for (double t = 0.0; t < 80.0;) {
+    Request r;
+    r.id = static_cast<int>(requests.size());
+    r.arrival_s = t;
+    r.prompt_tokens = 1000;
+    r.output_tokens = 20 + (r.id * 37) % 200;
+    requests.push_back(r);
+    t += static_cast<int>(t / 10.0) % 2 == 0 ? 0.5 : 2.0;
+  }
+  StepTimeTable table = TableOf([](int batch) { return 2.0 * std::sqrt(batch); },
+                                [](int batch) { return 0.05 + 5e-3 * batch; }, 4, 8);
+  ServeClusterConfig config;
+  config.prefill_instances = 2;
+  config.decode_instances = 2;
+  config.horizon_s = 80.0;
+  config.autoscaler.enabled = true;
+  config.autoscaler.interval_s = 1.0;
+  config.autoscaler.delay_s = 1.0;
+  config.autoscaler.max_prefill_instances = 8;
+  config.autoscaler.max_decode_instances = 8;
+  config.autoscaler.scale_up_utilization = 0.95;
+  config.autoscaler.scale_down_utilization = 0.7;
+  config.autoscaler.prefill_tokens_per_s = 4 * 1000 / table.PrefillTime(4);
+  config.autoscaler.decode_tokens_per_s = 8 / table.DecodeStepTime(8);
+  config.faults.enabled = true;
+  config.faults.prefill_failure_rate_per_s = 0.2;
+  config.faults.decode_failure_rate_per_s = 0.2;
+  config.faults.repair_s = 2.0;
+  config.faults.spare_activation_s = 0.3;
+  config.faults.prefill_spares = 1;
+  config.faults.decode_spares = 1;
+  config.faults.retry_policy = FaultRetryPolicy::kRetry;
+  config.faults.domains.prefill_instances_per_domain = 2;
+  config.faults.domains.decode_instances_per_domain = 2;
+  config.faults.domains.failure_rate_per_s = 0.05;
+  config.faults.domains.repair_s = 2.5;
+  config.faults.degraded.prefill_rate_per_s = 0.2;
+  config.faults.degraded.decode_rate_per_s = 0.2;
+  config.faults.degraded.multiplier = 2.0;
+  config.faults.degraded.mean_duration_s = 20.0;
+  config.faults.seed = FaultSubstreamSeed(1);
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
+  const auto counts = LifecycleCellCounts(a);
+  for (ScalePool pool : {ScalePool::kPrefill, ScalePool::kDecode}) {
+    for (int cell = 0; cell < kNumLifecycleCells; ++cell) {
+      EXPECT_GT(counts[static_cast<size_t>(pool)][static_cast<size_t>(cell)], 0)
+          << ToString(pool) << ": " << kLifecycleCellNames[cell];
+    }
+  }
+  EXPECT_EQ(a.completed_requests, a.admitted_requests);
   ExpectSameServeMetrics(a, b);
 }
 
