@@ -827,11 +827,57 @@ ServeStudyReport RunServeStudy(const Scenario& s, std::string* error) {
   return out;
 }
 
-// Runs the serve-sweep study: one BuildServePlatform, then every grid point
-// as an independent simulation fanned across the thread pool. Per-point
-// workload seeds come from one SplitMix64 stream expanded serially up
-// front, and workers write only their own Point slot, so the report is
-// bit-identical at any thread count.
+// Simulates every point of a grid as an independent run fanned across the
+// thread pool; rate_and_load maps a grid value to the point's (arrival
+// rate, load). Per-point workload seeds come from one SplitMix64 stream
+// seeded with `seed` and expanded serially up front, and workers write only
+// their own Point slot, so the points are bit-identical at any thread
+// count.
+template <typename RateAndLoad>
+std::vector<ServeSweepReport::Point> SimulateServeGrid(const ServePlatform& platform,
+                                                       const Scenario& s,
+                                                       const ServeCommonKnobs& knobs,
+                                                       const std::vector<double>& grid,
+                                                       uint64_t seed, RateAndLoad rate_and_load) {
+  std::vector<uint64_t> seeds;
+  seeds.reserve(grid.size());
+  SplitMix64 seed_stream(seed);
+  for (size_t i = 0; i < grid.size(); ++i) {
+    // Masked to 53 bits so the reported seed survives JSON's double-backed
+    // numbers exactly — `litegpu serve --seed <reported>` must reproduce
+    // the point's workload bit-for-bit.
+    seeds.push_back(seed_stream.Next() & ((uint64_t{1} << 53) - 1));
+  }
+  return ParallelMap<ServeSweepReport::Point>(
+      s.exec.threads, static_cast<int>(grid.size()), [&](int i) {
+        const std::pair<double, double> rate_load = rate_and_load(grid[static_cast<size_t>(i)]);
+        ServeSweepReport::Point p = SimulateServePoint(platform, s, knobs, rate_load.first,
+                                                       seeds[static_cast<size_t>(i)]);
+        p.load = rate_load.second;
+        return p;
+      });
+}
+
+// The knee (and, when autoscaled, the cheapest point) of a simulated grid,
+// by the one rule the sweep report and the fleet-compare study share.
+KneeSelection SelectGridKnee(const std::vector<ServeSweepReport::Point>& points,
+                             bool autoscaled) {
+  std::vector<KneePoint> view;
+  view.reserve(points.size());
+  for (const auto& p : points) {
+    KneePoint kp;
+    kp.arrival_rate_per_s = p.arrival_rate_per_s;
+    kp.load = p.load;
+    kp.slo_ok = p.slo_ok;
+    kp.goodput_tokens_per_s = p.goodput_tokens_per_s;
+    kp.makespan_s = p.makespan_s;
+    kp.gpu_hours = p.scale.gpu_hours;
+    view.push_back(kp);
+  }
+  return SelectKneeAndCheapest(view, autoscaled);
+}
+
+// Runs the serve-sweep study: one BuildServePlatform, then the grid.
 ServeSweepReport RunServeSweepStudy(const Scenario& s, std::string* error) {
   ServeSweepReport out;
   out.model = s.ResolvedModels().front();
@@ -852,54 +898,18 @@ ServeSweepReport RunServeSweepStudy(const Scenario& s, std::string* error) {
   out.decode_batch = platform.decode_batch;
   out.decode_capacity_tok_s = platform.decode_capacity_tok_s;
 
-  const std::vector<double> grid = s.sweep.GridPoints();
-  std::vector<uint64_t> seeds;
-  seeds.reserve(grid.size());
-  SplitMix64 seed_stream(s.sweep.seed);
-  for (size_t i = 0; i < grid.size(); ++i) {
-    // Masked to 53 bits so the reported seed survives JSON's double-backed
-    // numbers exactly — `litegpu serve --seed <reported>` must reproduce
-    // the point's workload bit-for-bit.
-    seeds.push_back(seed_stream.Next() & ((uint64_t{1} << 53) - 1));
-  }
-
   double pool_capacity_tok_s = platform.decode_capacity_tok_s * s.sweep.decode_instances;
   double mean_output_tokens = MeanWorkloadFor(s, s.sweep.classes).output_tokens;
-  out.points = ParallelMap<ServeSweepReport::Point>(
-      s.exec.threads, static_cast<int>(grid.size()), [&](int i) {
-        double value = grid[static_cast<size_t>(i)];
-        double rate, load;
+  out.points = SimulateServeGrid(
+      platform, s, s.sweep, s.sweep.GridPoints(), s.sweep.seed, [&](double value) {
         if (s.sweep.IsRateGrid()) {
-          rate = value;
-          load = pool_capacity_tok_s > 0.0
-                     ? value * mean_output_tokens / pool_capacity_tok_s
-                     : 0.0;
-        } else {
-          load = value;
-          rate = value * pool_capacity_tok_s / mean_output_tokens;
+          double load =
+              pool_capacity_tok_s > 0.0 ? value * mean_output_tokens / pool_capacity_tok_s : 0.0;
+          return std::make_pair(value, load);
         }
-        ServeSweepReport::Point p = SimulateServePoint(platform, s, s.sweep, rate,
-                                                       seeds[static_cast<size_t>(i)]);
-        p.load = load;
-        return p;
+        return std::make_pair(value * pool_capacity_tok_s / mean_output_tokens, value);
       });
-
-  // Knee + (autoscaled) cheapest selection via the shared helper, so the
-  // sweep report and the fleet-compare study pick by the same rule.
-  std::vector<KneePoint> knee_view;
-  knee_view.reserve(out.points.size());
-  for (const auto& p : out.points) {
-    KneePoint kp;
-    kp.arrival_rate_per_s = p.arrival_rate_per_s;
-    kp.load = p.load;
-    kp.slo_ok = p.slo_ok;
-    kp.goodput_tokens_per_s = p.goodput_tokens_per_s;
-    kp.makespan_s = p.makespan_s;
-    kp.gpu_hours = p.scale.gpu_hours;
-    knee_view.push_back(kp);
-  }
-  KneeSelection selection =
-      SelectKneeAndCheapest(knee_view, s.sweep.autoscaler.enabled());
+  KneeSelection selection = SelectGridKnee(out.points, s.sweep.autoscaler.enabled());
   out.knee_index = selection.knee_index;
   out.knee_load = selection.knee_load;
   out.knee_goodput_tokens_per_s = selection.knee_goodput_tokens_per_s;
@@ -1011,39 +1021,13 @@ FleetCompareReport RunFleetCompareStudy(const Scenario& s) {
     common.output_sigma = s.fleet.output_sigma;
     common.seed = row.seed;
 
-    std::vector<uint64_t> seeds;
-    seeds.reserve(grid.size());
-    SplitMix64 seed_stream(row.seed);
-    for (size_t i = 0; i < grid.size(); ++i) {
-      // Masked to 53 bits like the sweep's, so `litegpu serve --seed
-      // <reported>` reproduces any point exactly.
-      seeds.push_back(seed_stream.Next() & ((uint64_t{1} << 53) - 1));
-    }
     double pool_capacity_tok_s = platform.decode_capacity_tok_s * c.decode_instances;
     double mean_output_tokens = static_cast<double>(s.workload.output_tokens);
     std::vector<ServeSweepReport::Point> points =
-        ParallelMap<ServeSweepReport::Point>(
-            s.exec.threads, static_cast<int>(grid.size()), [&](int i) {
-              double load = grid[static_cast<size_t>(i)];
-              double rate = load * pool_capacity_tok_s / mean_output_tokens;
-              ServeSweepReport::Point p = SimulateServePoint(
-                  platform, s, common, rate, seeds[static_cast<size_t>(i)]);
-              p.load = load;
-              return p;
-            });
-
-    std::vector<KneePoint> view;
-    view.reserve(points.size());
-    for (const auto& p : points) {
-      KneePoint kp;
-      kp.arrival_rate_per_s = p.arrival_rate_per_s;
-      kp.load = p.load;
-      kp.slo_ok = p.slo_ok;
-      kp.goodput_tokens_per_s = p.goodput_tokens_per_s;
-      kp.makespan_s = p.makespan_s;
-      view.push_back(kp);
-    }
-    KneeSelection selection = SelectKneeAndCheapest(view, /*autoscaled=*/false);
+        SimulateServeGrid(platform, s, common, grid, row.seed, [&](double load) {
+          return std::make_pair(load * pool_capacity_tok_s / mean_output_tokens, load);
+        });
+    KneeSelection selection = SelectGridKnee(points, /*autoscaled=*/false);
     if (selection.knee_index < 0) {
       row.error = "no grid point meets the SLOs";
       out.candidates.push_back(std::move(row));

@@ -58,6 +58,8 @@
 #include <deque>
 #include <limits>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/serve/dary_heap.h"
@@ -69,12 +71,45 @@ namespace litegpu {
 namespace {
 
 // Instance status bits, one byte per instance — the only state the
-// scheduling scans read. An instance takes new work iff its byte is 0
-// (prefill) / has none of kStepping|kDown|kInactive set (decode).
+// scheduling scans read. An instance takes new work iff its byte has none
+// of its pool's blocking bits set (InstancePool::blocked): any bit for
+// prefill, kBusy|kDown|kInactive for decode, whose draining instances keep
+// stepping the sequences they hold.
 constexpr uint8_t kBusy = 1;      // prefill pass in flight / decode stepping
 constexpr uint8_t kDraining = 2;  // autoscaler drain: finish, then retire
 constexpr uint8_t kDown = 4;      // failed, awaiting spare/repair
 constexpr uint8_t kInactive = 8;  // retired (indices stay stable)
+
+constexpr ScalePool kPools[] = {ScalePool::kPrefill, ScalePool::kDecode};
+
+// Pool p's field of a paired prefill_*/decode_* config or report field.
+template <typename T>
+T& PerPool(ScalePool p, T& prefill, T& decode) {
+  return p == ScalePool::kPrefill ? prefill : decode;
+}
+
+// Every lifecycle event kind comes as a (prefill, decode) pair of adjacent
+// kinds with the prefill kind at an even value, so the pool is the low bit.
+constexpr ScalePool PoolOf(ServeEventKind kind) {
+  return static_cast<ScalePool>(static_cast<int>(kind) & 1);
+}
+// Pool p's kind of the pair whose prefill kind is `prefill_kind`.
+constexpr ServeEventKind KindOf(ServeEventKind prefill_kind, ScalePool p) {
+  return static_cast<ServeEventKind>(static_cast<int>(prefill_kind) + static_cast<int>(p));
+}
+constexpr bool Paired(ServeEventKind prefill_kind, ServeEventKind decode_kind) {
+  return PoolOf(prefill_kind) == ScalePool::kPrefill && PoolOf(decode_kind) == ScalePool::kDecode &&
+         KindOf(prefill_kind, ScalePool::kDecode) == decode_kind;
+}
+static_assert(
+    Paired(ServeEventKind::kPrefillDomainFail, ServeEventKind::kDecodeDomainFail) &&
+        Paired(ServeEventKind::kPrefillFail, ServeEventKind::kDecodeFail) &&
+        Paired(ServeEventKind::kPrefillDegradeStart, ServeEventKind::kDecodeDegradeStart) &&
+        Paired(ServeEventKind::kPrefillDegradeEnd, ServeEventKind::kDecodeDegradeEnd) &&
+        Paired(ServeEventKind::kPrefillUp, ServeEventKind::kDecodeUp) &&
+        Paired(ServeEventKind::kPrefillRecover, ServeEventKind::kDecodeRecover) &&
+        Paired(ServeEventKind::kPrefillSpareReturn, ServeEventKind::kDecodeSpareReturn),
+    "PoolOf/KindOf need each lifecycle kind pair at (even, even + 1)");
 
 // FIFO of request indices backed by a flat vector with a head cursor:
 // push/pop are array writes, and the buffer compacts itself so memory stays
@@ -198,34 +233,146 @@ struct DecodeSlot {
   uint64_t finish_step;
 };
 
+// One pool's instance lifecycle, the same for the prefill and decode pools:
+// provision (Add), fail, recover through a spare or a repair, degrade,
+// drain and retire. The columns are per instance (SoA): the hot status byte
+// plus parallel cold arrays, indexed by a slot that retirement never frees.
+// The scalars are the pool's per-run state and the rates and limits that
+// Reset resolves once from the fault and autoscaler configs.
+struct InstancePool {
+  std::vector<uint8_t> state;
+  // Ready bitmask: bit i set iff instance i can take work (state[i] has
+  // none of the `blocked` bits). The dispatch loops scan set bits instead
+  // of walking every instance, turning the per-event cost from O(pool size)
+  // into O(instances actually dispatched) — at a million arrivals against a
+  // hundred-instance prefill pool that scan is the simulator's single
+  // largest cost.
+  std::vector<uint64_t> ready;
+  std::vector<double> busy_time, up_time, down_time;
+  // The pass (prefill) or step (decode) in flight: busy time claims its
+  // whole duration at dispatch, and a failure refunds the unfinished part.
+  std::vector<double> work_started, work_duration;
+  std::vector<int> epoch;
+  std::vector<uint8_t> via_spare;
+  std::vector<const char*> drain_reason;
+  // Degraded state: current step-time multiplier (1.0 = healthy) and the
+  // time the open throttled window started (-1 = none).
+  std::vector<double> degrade_mult, degrade_since;
+
+  uint8_t blocked = 0;
+  int active = 0;  // provisioned, including draining
+  int spares_free = 0;
+  int pending_ups = 0;
+  std::deque<const char*> up_reasons;  // FIFO-matched to up events
+  int domains_scheduled = 0;
+  double prev_tick_busy = 0.0;
+  double failure_rate_per_s = 0.0;
+  double degrade_rate_per_s = 0.0;
+  int instances_per_domain = 0;
+  double tokens_per_s = 0.0;  // autoscaler's analytic per-instance throughput
+  int min_instances = 0;
+  int max_instances = 0;
+
+  size_t size() const { return state.size(); }
+  // Serving and not on its way out: counted by the autoscaler and shedding.
+  bool Live(size_t i) const { return !(state[i] & (kInactive | kDraining | kDown)); }
+  // An event stamped with epoch `ep` still applies to instance i: no
+  // retirement and no failure since it was scheduled.
+  bool Current(size_t i, int ep) const { return !(state[i] & kInactive) && ep == epoch[i]; }
+  bool IsReady(size_t i) const { return (ready[i >> 6] >> (i & 63)) & 1; }
+  // Refresh instance i's ready bit from its status byte. Called after every
+  // status mutation; the dispatch loops trust the bits completely.
+  void SyncReady(size_t i) {
+    const uint64_t bit = 1ull << (i & 63);
+    if (state[i] & blocked) {
+      ready[i >> 6] &= ~bit;
+    } else {
+      ready[i >> 6] |= bit;
+    }
+  }
+  int LiveCount() const {
+    int live = 0;
+    for (size_t i = 0; i < size(); ++i) {
+      live += Live(i);
+    }
+    return live;
+  }
+  double TotalBusy() const {
+    double busy = 0.0;
+    for (double b : busy_time) {
+      busy += b;
+    }
+    return busy;
+  }
+
+  void Add(double up) {
+    const size_t i = size();
+    if (ready.size() <= (i >> 6)) {
+      ready.push_back(0);
+    }
+    ready[i >> 6] |= 1ull << (i & 63);
+    state.push_back(0);
+    busy_time.push_back(0.0);
+    up_time.push_back(up);
+    down_time.push_back(-1.0);
+    work_started.push_back(0.0);
+    work_duration.push_back(0.0);
+    epoch.push_back(0);
+    via_spare.push_back(0);
+    drain_reason.push_back("");
+    degrade_mult.push_back(1.0);
+    degrade_since.push_back(-1.0);
+  }
+
+  // Empties the pool and resolves pool p's scalars from the config.
+  void Reset(ScalePool p, const ServeClusterConfig& config) {
+    state.clear();
+    ready.clear();
+    busy_time.clear();
+    up_time.clear();
+    down_time.clear();
+    work_started.clear();
+    work_duration.clear();
+    epoch.clear();
+    via_spare.clear();
+    drain_reason.clear();
+    degrade_mult.clear();
+    degrade_since.clear();
+    const ServeFaultConfig& faults = config.faults;
+    const ServeAutoscalerConfig& scaler = config.autoscaler;
+    blocked = p == ScalePool::kPrefill ? (kBusy | kDraining | kDown | kInactive)
+                                       : (kBusy | kDown | kInactive);
+    active = PerPool(p, config.prefill_instances, config.decode_instances);
+    spares_free = PerPool(p, faults.prefill_spares, faults.decode_spares);
+    pending_ups = 0;
+    up_reasons.clear();
+    domains_scheduled = 0;
+    prev_tick_busy = 0.0;
+    failure_rate_per_s =
+        PerPool(p, faults.prefill_failure_rate_per_s, faults.decode_failure_rate_per_s);
+    degrade_rate_per_s =
+        PerPool(p, faults.degraded.prefill_rate_per_s, faults.degraded.decode_rate_per_s);
+    instances_per_domain = PerPool(p, faults.domains.prefill_instances_per_domain,
+                                   faults.domains.decode_instances_per_domain);
+    tokens_per_s = PerPool(p, scaler.prefill_tokens_per_s, scaler.decode_tokens_per_s);
+    min_instances = PerPool(p, scaler.min_prefill_instances, scaler.min_decode_instances);
+    max_instances = PerPool(p, scaler.max_prefill_instances, scaler.max_decode_instances);
+  }
+};
+
 // Per-point scratch, reused across runs on the same thread so sweep points
 // and shards stop churning the allocator: vectors are cleared, not freed.
 struct SimScratch {
   CalendarEventQueue events;
   IndexQueue prefill_queue;
   IndexQueue decode_queue;
+  InstancePool pools[2];
 
-  // Prefill pool, SoA: status byte (hot) + parallel cold arrays.
-  std::vector<uint8_t> p_state;
-  std::vector<double> p_busy_time, p_up_time, p_down_time;
-  std::vector<double> p_pass_started, p_pass_duration;
-  std::vector<int> p_epoch;
-  std::vector<uint8_t> p_via_spare;
-  std::vector<const char*> p_drain_reason;
-  // Degraded state: current step-time multiplier (1.0 = healthy) and the
-  // time the open throttled window started (-1 = none).
-  std::vector<double> p_degrade_mult, p_degrade_since;
-  std::vector<std::vector<int>> p_batch;  // request indices being prefilled
+  // Prefill only: the request indices of each instance's pass in flight.
+  std::vector<std::vector<int>> p_batch;
 
-  // Decode pool, SoA.
-  std::vector<uint8_t> d_state;
-  std::vector<double> d_busy_time, d_batch_time_product;
-  std::vector<double> d_step_started, d_step_duration;
-  std::vector<double> d_up_time, d_down_time;
-  std::vector<int> d_epoch;
-  std::vector<uint8_t> d_via_spare;
-  std::vector<const char*> d_drain_reason;
-  std::vector<double> d_degrade_mult, d_degrade_since;
+  // Decode only.
+  std::vector<double> d_batch_time_product;
   // Completion min-heaps + incremental counts: O(log batch) per request
   // instead of O(batch) per step. Four children per node: a full batch of
   // 282 is ~4 levels deep instead of a binary heap's ~8 (dary_heap.h).
@@ -236,8 +383,9 @@ struct SimScratch {
   std::vector<int> class_active;  // [instance * num_classes + class]
   // Step token: bumped whenever a step-done event is pushed or a failure
   // kills the step in flight, so a popped event is live iff its token
-  // matches. Separate from d_epoch, which also guards pending failure and
-  // degrade events and must not move when a coalesced run is cut.
+  // matches. Separate from the lifecycle epoch, which also guards pending
+  // failure and degrade events and must not move when a coalesced run is
+  // cut.
   std::vector<uint32_t> d_step_token;
   // Decode-step coalescing: a bit in d_coalesced marks an instance whose
   // live step-done event stands for a run of steps; for such a run, the
@@ -262,55 +410,20 @@ struct SimScratch {
   std::vector<uint8_t> ttft_recorded;
   std::vector<int> retry_counts;
 
-  // Ready bitmasks: bit i set iff instance i currently passes the
-  // try_start_* status check (prefill: state byte zero; decode: neither
-  // busy, down, nor inactive). The dispatch loops scan set bits instead of
-  // walking every instance, turning the per-event cost from O(pool size)
-  // into O(instances actually dispatched) — at a million arrivals against
-  // a hundred-instance prefill pool that scan is the simulator's single
-  // largest cost.
-  std::vector<uint64_t> p_ready, d_ready;
+  InstancePool& Pool(ScalePool p) { return pools[static_cast<size_t>(p)]; }
 
-  void AddPrefill(double up_time) {
-    size_t i = p_state.size();
-    if (p_ready.size() <= (i >> 6)) {
-      p_ready.push_back(0);
+  // Provisions one instance of pool p, up since `up_time`.
+  void Add(ScalePool p, double up_time, int num_classes) {
+    Pool(p).Add(up_time);
+    const size_t n = Pool(p).size();
+    if (p == ScalePool::kPrefill) {
+      if (p_batch.size() < n) {
+        p_batch.emplace_back();
+      }
+      return;
     }
-    p_ready[i >> 6] |= 1ull << (i & 63);
-    p_state.push_back(0);
-    p_busy_time.push_back(0.0);
-    p_up_time.push_back(up_time);
-    p_down_time.push_back(-1.0);
-    p_pass_started.push_back(0.0);
-    p_pass_duration.push_back(0.0);
-    p_epoch.push_back(0);
-    p_via_spare.push_back(0);
-    p_drain_reason.push_back("");
-    p_degrade_mult.push_back(1.0);
-    p_degrade_since.push_back(-1.0);
-    if (p_batch.size() < p_state.size()) {
-      p_batch.emplace_back();
-    }
-  }
-
-  void AddDecode(double up_time, int num_classes) {
-    size_t i = d_state.size();
-    if (d_ready.size() <= (i >> 6)) {
-      d_ready.push_back(0);
-    }
-    d_ready[i >> 6] |= 1ull << (i & 63);
-    d_state.push_back(0);
-    d_busy_time.push_back(0.0);
+    const size_t i = n - 1;
     d_batch_time_product.push_back(0.0);
-    d_step_started.push_back(0.0);
-    d_step_duration.push_back(0.0);
-    d_up_time.push_back(up_time);
-    d_down_time.push_back(-1.0);
-    d_epoch.push_back(0);
-    d_via_spare.push_back(0);
-    d_drain_reason.push_back("");
-    d_degrade_mult.push_back(1.0);
-    d_degrade_since.push_back(-1.0);
     d_step_count.push_back(0);
     d_active_count.push_back(0);
     d_step_token.push_back(0);
@@ -321,55 +434,35 @@ struct SimScratch {
     if (d_coalesced.size() <= (i >> 6)) {
       d_coalesced.push_back(0);
     }
-    if (d_heap.size() < d_state.size()) {
+    if (d_heap.size() < n) {
       d_heap.emplace_back();
       d_slots.emplace_back();
     }
     d_heap[i].reserve(d_heap_capacity);
     if (num_classes > 0) {
-      class_active.resize(d_state.size() * static_cast<size_t>(num_classes), 0);
+      class_active.resize(n * static_cast<size_t>(num_classes), 0);
     }
   }
 
-  void Reset(int n_prefill, int n_decode, int num_classes, int max_decode_batch,
-             double bucket_width) {
+  void Reset(const ServeClusterConfig& config, int max_decode_batch, double bucket_width) {
     events.Reset(bucket_width);
     d_heap_capacity = static_cast<size_t>(std::max(0, max_decode_batch));
     prefill_queue.Clear();
     decode_queue.Clear();
-    p_state.clear();
-    p_busy_time.clear();
-    p_up_time.clear();
-    p_down_time.clear();
-    p_pass_started.clear();
-    p_pass_duration.clear();
-    p_epoch.clear();
-    p_via_spare.clear();
-    p_drain_reason.clear();
-    p_degrade_mult.clear();
-    p_degrade_since.clear();
+    for (ScalePool p : kPools) {
+      Pool(p).Reset(p, config);
+    }
     // Nested per-instance vectors keep their slots (and inner capacity);
     // only the entries a previous larger run left behind are dropped.
-    p_batch.resize(static_cast<size_t>(n_prefill));
+    p_batch.resize(static_cast<size_t>(config.prefill_instances));
     for (auto& b : p_batch) {
       b.clear();
     }
-    d_state.clear();
-    d_busy_time.clear();
     d_batch_time_product.clear();
-    d_step_started.clear();
-    d_step_duration.clear();
-    d_up_time.clear();
-    d_down_time.clear();
-    d_epoch.clear();
-    d_via_spare.clear();
-    d_drain_reason.clear();
-    d_degrade_mult.clear();
-    d_degrade_since.clear();
     d_step_count.clear();
     d_active_count.clear();
-    d_heap.resize(static_cast<size_t>(n_decode));
-    d_slots.resize(static_cast<size_t>(n_decode));
+    d_heap.resize(static_cast<size_t>(config.decode_instances));
+    d_slots.resize(static_cast<size_t>(config.decode_instances));
     for (size_t i = 0; i < d_heap.size(); ++i) {
       d_heap[i].clear();
       d_slots[i].clear();
@@ -383,18 +476,27 @@ struct SimScratch {
     d_coalesced.clear();
     slot_pos.clear();
     finished_pos.clear();
-    p_ready.clear();
-    d_ready.clear();
     ttft_recorded.clear();
     retry_counts.clear();
-    for (int i = 0; i < n_prefill; ++i) {
-      AddPrefill(0.0);
-    }
-    for (int i = 0; i < n_decode; ++i) {
-      AddDecode(0.0, num_classes);
+    for (ScalePool p : kPools) {
+      for (int i = 0; i < PerPool(p, config.prefill_instances, config.decode_instances); ++i) {
+        Add(p, 0.0, config.num_classes);
+      }
     }
   }
 };
+
+// A completion at or behind its instance's step count can never fire: it
+// would hold its batch slot forever, and a coalesced run up to it would
+// wrap to ~2^64 steps. Only a misordered completion heap gets there, so the
+// run fails loudly instead of spinning.
+[[noreturn]] __attribute__((noinline, cold)) void ThrowStaleCompletion(int instance,
+                                                                     uint64_t finish_step,
+                                                                     uint64_t step_count) {
+  throw std::logic_error("decode instance " + std::to_string(instance) +
+                         ": next completion at step " + std::to_string(finish_step) +
+                         " is not after its step count " + std::to_string(step_count));
+}
 
 SimScratch& TlsScratch() {
   static thread_local SimScratch scratch;
@@ -437,8 +539,9 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   const double hint_width = table.DecodeStepTime(table.max_decode_batch()) /
                             static_cast<double>(std::max(1, config.decode_instances));
   SimScratch& S = TlsScratch();
-  S.Reset(config.prefill_instances, config.decode_instances, config.num_classes,
-          table.max_decode_batch(), hint_width);
+  S.Reset(config, table.max_decode_batch(), hint_width);
+  InstancePool& P = S.Pool(ScalePool::kPrefill);
+  InstancePool& D = S.Pool(ScalePool::kDecode);
   CalendarEventQueue& events = S.events;
   IndexQueue& prefill_queue = S.prefill_queue;
   IndexQueue& decode_queue = S.decode_queue;
@@ -450,17 +553,9 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
 
   // --- autoscaler state (dormant unless cfg.enabled) ---
   const ServeAutoscalerConfig& scaler = config.autoscaler;
-  int active_prefill = config.prefill_instances;  // provisioned (incl. draining)
-  int active_decode = config.decode_instances;
-  int pending_prefill_ups = 0;
-  int pending_decode_ups = 0;
-  std::deque<const char*> prefill_up_reasons;  // FIFO-matched to up events
-  std::deque<const char*> decode_up_reasons;
   int up_seq = 0;    // ordering sequence for simultaneous up events
   int tick_seq = 0;  // and for ticks
   double prev_tick_time = 0.0;
-  double prev_prefill_busy = 0.0;
-  double prev_decode_busy = 0.0;
   // Incrementally maintained queued-token totals, read by autoscaler
   // ticks. Token counts are integers, so the running sums stay exactly
   // integer-valued in double and equal the reference's per-tick
@@ -482,30 +577,24 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   std::deque<Demand> demand_history;
   size_t peak_demand_entries = 0;
   if (scaler.enabled) {
-    metrics.peak_prefill_instances = active_prefill;
-    metrics.peak_decode_instances = active_decode;
+    metrics.peak_prefill_instances = P.active;
+    metrics.peak_decode_instances = D.active;
     events.Push({scaler.interval_s, ServeEventKind::kAutoscaleTick, tick_seq++});
   }
 
   // --- fault-injection state (dormant unless faults.enabled) ---
   const ServeFaultConfig& faults = config.faults;
   std::optional<FaultStreams> fault_streams;
-  int prefill_spares_free = faults.prefill_spares;
-  int decode_spares_free = faults.decode_spares;
-  auto schedule_next_failure = [&](ScalePool pool, int slot, double from_t, int epoch) {
-    double rate = pool == ScalePool::kPrefill ? faults.prefill_failure_rate_per_s
-                                              : faults.decode_failure_rate_per_s;
+  auto schedule_next_failure = [&](ScalePool p, int slot, double from_t, int epoch) {
+    const double rate = S.Pool(p).failure_rate_per_s;
     if (rate <= 0.0) {
       return;
     }
     // Failures are injected over the admission horizon only; the drain
     // tail past it runs fault-free, which also bounds the event stream.
-    double t = from_t + fault_streams->NextFailureGap(pool, slot, rate);
+    double t = from_t + fault_streams->NextFailureGap(p, slot, rate);
     if (t <= config.horizon_s) {
-      events.Push({t,
-                   pool == ScalePool::kPrefill ? ServeEventKind::kPrefillFail
-                                               : ServeEventKind::kDecodeFail,
-                   slot, epoch});
+      events.Push({t, KindOf(ServeEventKind::kPrefillFail, p), slot, epoch});
     }
   };
   // Domain outage streams: one per failure domain, keyed by (seed, pool,
@@ -513,68 +602,51 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   // Domains are discovered as the pool grows — domain d covers instances
   // [d*ipd, (d+1)*ipd) — and each domain's gap sequence depends only on its
   // id, never on when its first member appeared.
-  int prefill_domains_scheduled = 0;
-  int decode_domains_scheduled = 0;
-  auto schedule_next_domain_failure = [&](ScalePool pool, int domain, double from_t) {
-    double t =
-        from_t + fault_streams->NextDomainFailureGap(pool, domain, domains.failure_rate_per_s);
+  auto schedule_next_domain_failure = [&](ScalePool p, int domain, double from_t) {
+    double t = from_t + fault_streams->NextDomainFailureGap(p, domain, domains.failure_rate_per_s);
     if (t <= config.horizon_s) {
-      events.Push({t,
-                   pool == ScalePool::kPrefill ? ServeEventKind::kPrefillDomainFail
-                                               : ServeEventKind::kDecodeDomainFail,
-                   domain});
+      events.Push({t, KindOf(ServeEventKind::kPrefillDomainFail, p), domain});
     }
   };
-  auto schedule_new_domains = [&](ScalePool pool, double from_t) {
-    if (!domains_enabled) {
+  auto schedule_new_domains = [&](ScalePool p, double from_t) {
+    InstancePool& pool = S.Pool(p);
+    const int ipd = pool.instances_per_domain;
+    if (!domains_enabled || ipd <= 0) {
       return;
     }
-    bool is_prefill = pool == ScalePool::kPrefill;
-    int ipd = is_prefill ? domains.prefill_instances_per_domain
-                         : domains.decode_instances_per_domain;
-    if (ipd <= 0) {
-      return;
-    }
-    int n = static_cast<int>(is_prefill ? S.p_state.size() : S.d_state.size());
-    int want = (n + ipd - 1) / ipd;
-    int& scheduled = is_prefill ? prefill_domains_scheduled : decode_domains_scheduled;
-    while (scheduled < want) {
-      schedule_next_domain_failure(pool, scheduled++, from_t);
+    int want = (static_cast<int>(pool.size()) + ipd - 1) / ipd;
+    while (pool.domains_scheduled < want) {
+      schedule_next_domain_failure(p, pool.domains_scheduled++, from_t);
     }
   };
   // Degrade streams: per (pool, slot) like failures; a failure clears the
   // degraded state (epoch bump stales the pending end event) and the
   // recovery reschedules the slot's stream.
-  auto schedule_next_degrade = [&](ScalePool pool, int slot, double from_t, int epoch) {
-    double rate = pool == ScalePool::kPrefill ? degraded.prefill_rate_per_s
-                                              : degraded.decode_rate_per_s;
+  auto schedule_next_degrade = [&](ScalePool p, int slot, double from_t, int epoch) {
+    const double rate = S.Pool(p).degrade_rate_per_s;
     if (rate <= 0.0) {
       return;
     }
-    double t = from_t + fault_streams->NextDegradeGap(pool, slot, rate);
+    double t = from_t + fault_streams->NextDegradeGap(p, slot, rate);
     if (t <= config.horizon_s) {
-      events.Push({t,
-                   pool == ScalePool::kPrefill ? ServeEventKind::kPrefillDegradeStart
-                                               : ServeEventKind::kDecodeDegradeStart,
-                   slot, epoch});
+      events.Push({t, KindOf(ServeEventKind::kPrefillDegradeStart, p), slot, epoch});
     }
   };
   if (faults_enabled) {
     fault_streams.emplace(faults.seed);
-    for (int i = 0; i < static_cast<int>(S.p_state.size()); ++i) {
-      schedule_next_failure(ScalePool::kPrefill, i, 0.0, 0);
-    }
-    for (int i = 0; i < static_cast<int>(S.d_state.size()); ++i) {
-      schedule_next_failure(ScalePool::kDecode, i, 0.0, 0);
-    }
-    schedule_new_domains(ScalePool::kPrefill, 0.0);
-    schedule_new_domains(ScalePool::kDecode, 0.0);
-    if (degrade_enabled) {
-      for (int i = 0; i < static_cast<int>(S.p_state.size()); ++i) {
-        schedule_next_degrade(ScalePool::kPrefill, i, 0.0, 0);
+    for (ScalePool p : kPools) {
+      for (int i = 0; i < static_cast<int>(S.Pool(p).size()); ++i) {
+        schedule_next_failure(p, i, 0.0, 0);
       }
-      for (int i = 0; i < static_cast<int>(S.d_state.size()); ++i) {
-        schedule_next_degrade(ScalePool::kDecode, i, 0.0, 0);
+    }
+    for (ScalePool p : kPools) {
+      schedule_new_domains(p, 0.0);
+    }
+    if (degrade_enabled) {
+      for (ScalePool p : kPools) {
+        for (int i = 0; i < static_cast<int>(S.Pool(p).size()); ++i) {
+          schedule_next_degrade(p, i, 0.0, 0);
+        }
       }
     }
     S.ttft_recorded.assign(nreq, 0);
@@ -627,41 +699,15 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   // tick that did no work.
   double progress_now = 0.0;
 
-  // Refresh instance i's ready bit from its status byte. Called after every
-  // status mutation; the dispatch loops below trust the bits completely.
-  auto sync_p_ready = [&](int i) {
-    uint64_t bit = 1ull << (static_cast<unsigned>(i) & 63);
-    size_t w = static_cast<size_t>(i) >> 6;
-    if (S.p_state[static_cast<size_t>(i)] == 0) {
-      S.p_ready[w] |= bit;
-    } else {
-      S.p_ready[w] &= ~bit;
-    }
-  };
-  auto sync_d_ready = [&](int i) {
-    uint64_t bit = 1ull << (static_cast<unsigned>(i) & 63);
-    size_t w = static_cast<size_t>(i) >> 6;
-    if (!(S.d_state[static_cast<size_t>(i)] & (kBusy | kDown | kInactive))) {
-      S.d_ready[w] |= bit;
-    } else {
-      S.d_ready[w] &= ~bit;
-    }
-  };
-
   // Close an instance's open throttled window (degrade end, failure, or
   // retirement), banking the degraded instance-seconds.
-  auto close_degrade_prefill = [&](int i) {
-    if (S.p_degrade_since[i] >= 0.0) {
-      metrics.prefill_degraded_instance_s += now - S.p_degrade_since[i];
-      S.p_degrade_since[i] = -1.0;
-      S.p_degrade_mult[i] = 1.0;
-    }
-  };
-  auto close_degrade_decode = [&](int i) {
-    if (S.d_degrade_since[i] >= 0.0) {
-      metrics.decode_degraded_instance_s += now - S.d_degrade_since[i];
-      S.d_degrade_since[i] = -1.0;
-      S.d_degrade_mult[i] = 1.0;
+  auto close_degrade = [&](ScalePool p, int i) {
+    InstancePool& pool = S.Pool(p);
+    if (pool.degrade_since[i] >= 0.0) {
+      PerPool(p, metrics.prefill_degraded_instance_s, metrics.decode_degraded_instance_s) +=
+          now - pool.degrade_since[i];
+      pool.degrade_since[i] = -1.0;
+      pool.degrade_mult[i] = 1.0;
     }
   };
 
@@ -682,8 +728,8 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     // Set bits scan in ascending instance order — the same order the plain
     // index loop dispatched in. Instances with a nonzero status byte have
     // no side effects in that loop, so skipping them is behavior-identical.
-    for (size_t w = 0; w < S.p_ready.size() && !prefill_queue.empty(); ++w) {
-      uint64_t bits = S.p_ready[w];
+    for (size_t w = 0; w < P.ready.size() && !prefill_queue.empty(); ++w) {
+      uint64_t bits = P.ready[w];
       while (bits != 0 && !prefill_queue.empty()) {
         int i = static_cast<int>((w << 6) +
                                  static_cast<size_t>(__builtin_ctzll(bits)));
@@ -704,14 +750,14 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         if (degrade_enabled) {
           // Applied on dispatch only: in-flight passes keep the duration
           // they started with, so busy-time refunds stay exact.
-          duration *= S.p_degrade_mult[i];
+          duration *= P.degrade_mult[i];
         }
-        S.p_state[i] |= kBusy;
-        sync_p_ready(i);
-        S.p_busy_time[i] += duration;
-        S.p_pass_started[i] = t;
-        S.p_pass_duration[i] = duration;
-        events.Push({t + duration, ServeEventKind::kPrefillDone, i, S.p_epoch[i]});
+        P.state[i] |= kBusy;
+        P.SyncReady(i);
+        P.busy_time[i] += duration;
+        P.work_started[i] = t;
+        P.work_duration[i] = duration;
+        events.Push({t + duration, ServeEventKind::kPrefillDone, i, P.epoch[i]});
       }
     }
   };
@@ -745,11 +791,11 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   // Token and TBT accounting for k completed steps of instance i's current
   // batch. Token counts are integers, so one b*k add equals k adds of b.
   auto account_steps = [&](int i, size_t k) {
-    const double duration = S.d_step_duration[i];
+    const double duration = D.work_duration[i];
     const double tokens = static_cast<double>(S.d_active_count[i]) * static_cast<double>(k);
     metrics.tbt_s.Add(duration, k);
     metrics.output_tokens += tokens;
-    if (degrade_enabled && S.d_degrade_since[i] >= 0.0) {
+    if (degrade_enabled && D.degrade_since[i] >= 0.0) {
       metrics.degraded_output_tokens += tokens;
     }
     if (track_classes) {
@@ -772,9 +818,9 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   // one per step in step order, gave under the per-step events (RepeatAdd).
   // Never consumes the run's final step, which its live event accounts.
   auto catch_up = [&](int i, double t, bool inclusive) {
-    const double duration = S.d_step_duration[i];
+    const double duration = D.work_duration[i];
     const StepsBefore done =
-        CountStepsBefore(S.d_step_started[i], duration, S.d_run_left[i], t, inclusive);
+        CountStepsBefore(D.work_started[i], duration, S.d_run_left[i], t, inclusive);
     const uint64_t left = S.d_run_left[i] - done.count;
     assert((left > 0 || done.end + duration == S.d_run_end[i]) &&
            "catch_up disagrees with the coalesced run's final step time");
@@ -784,8 +830,8 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     const double batch = static_cast<double>(S.d_active_count[i]);
     account_steps(i, done.count);
     S.d_step_count[i] += done.count;
-    S.d_step_started[i] = done.end;
-    S.d_busy_time[i] = RepeatAdd(S.d_busy_time[i], duration, done.count);
+    D.work_started[i] = done.end;
+    D.busy_time[i] = RepeatAdd(D.busy_time[i], duration, done.count);
     S.d_batch_time_product[i] =
         RepeatAdd(S.d_batch_time_product[i], batch * duration, done.count);
     S.d_run_left[i] = left;
@@ -799,7 +845,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     catch_up(i, now, /*inclusive=*/false);
     clear_coalesced(i);
     if (S.d_run_left[i] > 0) {
-      push_step_done(i, S.d_step_started[i] + S.d_step_duration[i]);
+      push_step_done(i, D.work_started[i] + D.work_duration[i]);
     }
   };
   auto for_each_coalesced = [&](auto&& f) {
@@ -831,12 +877,12 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   int armed = -1;
   const int max_decode_batch = table.max_decode_batch();
   auto can_admit = [&](int i) {
-    return !(S.d_state[i] & kDraining) && S.d_active_count[i] < max_decode_batch;
+    return !(D.state[i] & kDraining) && S.d_active_count[i] < max_decode_batch;
   };
   // The end of the first step of i's run that ends at or after `now`: where
   // cut_run would put the fresh event.
   auto next_boundary = [&](int i) {
-    const double duration = S.d_step_duration[i];
+    const double duration = D.work_duration[i];
     const StepsBefore done = CountStepsBefore(S.d_probe_started[i], duration,
                                               S.d_probe_left[i], now, /*inclusive=*/false);
     S.d_probe_started[i] = done.end;
@@ -874,12 +920,11 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   };
 
   auto try_start_decode_step_at = [&](double t, int i) {
-    const int max_batch = table.max_decode_batch();
     DaryMinHeap& heap = S.d_heap[static_cast<size_t>(i)];
     // Admit waiting sequences at the step boundary (draining instances
     // only finish what they already hold).
-    if (!(S.d_state[i] & kDraining)) {
-      while (!decode_queue.empty() && S.d_active_count[i] < max_batch) {
+    if (!(D.state[i] & kDraining)) {
+      while (!decode_queue.empty() && S.d_active_count[i] < max_decode_batch) {
         int req = decode_queue.front();
         decode_queue.pop_front();
         uint64_t left = static_cast<uint64_t>(
@@ -909,20 +954,23 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     }
     double duration = table.DecodeStepTime(batch);
     if (degrade_enabled) {
-      duration *= S.d_degrade_mult[i];
+      duration *= D.degrade_mult[i];
     }
-    S.d_state[i] |= kBusy;
-    sync_d_ready(i);
-    S.d_step_started[i] = t;
-    S.d_step_duration[i] = duration;
-    S.d_busy_time[i] += duration;
+    D.state[i] |= kBusy;
+    D.SyncReady(i);
+    D.work_started[i] = t;
+    D.work_duration[i] = duration;
+    D.busy_time[i] += duration;
     S.d_batch_time_product[i] += batch * duration;
+    // A sequence finishing at or before the step count would have completed
+    // already, so the earliest completion lies ahead of every step start.
+    const uint64_t next_finish = heap.front() >> request_bits;
+    if (next_finish <= S.d_step_count[i]) {
+      ThrowStaleCompletion(i, next_finish, S.d_step_count[i]);
+    }
     // With nothing queued, run straight to the next completion: its event
     // time is the same sequential sum the per-step events would reach.
-    uint64_t steps = 1;
-    if (decode_queue.empty()) {
-      steps = (heap.front() >> request_bits) - S.d_step_count[i];
-    }
+    const uint64_t steps = decode_queue.empty() ? next_finish - S.d_step_count[i] : 1;
     double end = RepeatAdd(t, duration, steps);
     S.d_run_left[i] = steps - 1;
     if (steps > 1) {
@@ -935,9 +983,10 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     push_step_done(i, end);
   };
 
-  auto decode_holds_work = [&](int i) { return S.d_active_count[i] > 0; };
-  auto decode_ready = [&](int i) {
-    return (S.d_ready[static_cast<size_t>(i) >> 6] >> (static_cast<unsigned>(i) & 63)) & 1;
+  // Whether instance i of pool p has work to finish before it can retire:
+  // a pass or step in flight, or (decode) sequences in its batch.
+  auto holds_work = [&](ScalePool p, int i) {
+    return (S.Pool(p).state[i] & kBusy) || (p == ScalePool::kDecode && S.d_active_count[i] > 0);
   };
 
   // Dispatch invariant: after every event, no ready decode instance holds
@@ -950,8 +999,8 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   auto try_start_decode_step = [&](double t, int finished) {
     // Ascending-bit scan = the plain loop's ascending index order; skipped
     // instances (busy, down, or inactive) were pure no-ops there.
-    for (size_t w = 0; w < S.d_ready.size() && !decode_queue.empty(); ++w) {
-      uint64_t bits = S.d_ready[w];
+    for (size_t w = 0; w < D.ready.size() && !decode_queue.empty(); ++w) {
+      uint64_t bits = D.ready[w];
       while (bits != 0 && !decode_queue.empty()) {
         int i = static_cast<int>((w << 6) +
                                  static_cast<size_t>(__builtin_ctzll(bits)));
@@ -962,66 +1011,41 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     // Starting it after the scan instead of at its index is equivalent:
     // with the queue empty it admits nothing, and its step event is
     // ordered by the event queue's full comparator, not by push order.
-    if (finished >= 0 && decode_ready(finished) && decode_holds_work(finished)) {
+    if (finished >= 0 && D.IsReady(finished) && S.d_active_count[finished] > 0) {
       try_start_decode_step_at(t, finished);
     }
 #ifndef NDEBUG
-    for (int i = 0; i < static_cast<int>(S.d_state.size()); ++i) {
-      assert(!(decode_ready(i) && decode_holds_work(i)) &&
+    for (int i = 0; i < static_cast<int>(D.state.size()); ++i) {
+      assert(!(D.IsReady(i) && S.d_active_count[i] > 0) &&
              "decode dispatch left a ready instance holding work");
     }
 #endif
   };
 
   // --- autoscaler actions ---
-  auto retire_prefill = [&](int i, const char* reason) {
+  auto retire = [&](ScalePool p, int i, const char* reason) {
+    InstancePool& pool = S.Pool(p);
     if (degrade_enabled) {
-      close_degrade_prefill(i);
+      close_degrade(p, i);
     }
-    S.p_state[i] = static_cast<uint8_t>((S.p_state[i] & ~kDraining) | kInactive);
-    sync_p_ready(i);
-    S.p_down_time[i] = now;
-    --active_prefill;
-    metrics.scale_events.push_back({now, ScalePool::kPrefill, -1, active_prefill, reason});
-  };
-  auto retire_decode = [&](int i, const char* reason) {
-    if (degrade_enabled) {
-      close_degrade_decode(i);
-    }
-    S.d_state[i] = static_cast<uint8_t>((S.d_state[i] & ~kDraining) | kInactive);
-    sync_d_ready(i);
-    S.d_down_time[i] = now;
-    --active_decode;
-    metrics.scale_events.push_back({now, ScalePool::kDecode, -1, active_decode, reason});
-  };
-  auto decode_idle_empty = [&](int i) {
-    return !decode_holds_work(i) && !(S.d_state[i] & kBusy);
+    pool.state[i] = static_cast<uint8_t>((pool.state[i] & ~kDraining) | kInactive);
+    pool.SyncReady(i);
+    pool.down_time[i] = now;
+    --pool.active;
+    metrics.scale_events.push_back({now, p, -1, pool.active, reason});
   };
   // Pick the highest-index live instance: the most recently provisioned
   // capacity leaves first, keeping the initial pool stable.
-  auto drain_one_prefill = [&](const char* reason) {
-    for (int i = static_cast<int>(S.p_state.size()) - 1; i >= 0; --i) {
-      if (!(S.p_state[i] & (kInactive | kDraining | kDown))) {
-        if (!(S.p_state[i] & kBusy)) {
-          retire_prefill(i, reason);
+  auto drain_one = [&](ScalePool p, const char* reason) {
+    InstancePool& pool = S.Pool(p);
+    for (int i = static_cast<int>(pool.size()) - 1; i >= 0; --i) {
+      if (pool.Live(i)) {
+        if (!holds_work(p, i)) {
+          retire(p, i, reason);
         } else {
-          S.p_state[i] |= kDraining;
-          sync_p_ready(i);
-          S.p_drain_reason[i] = reason;
-        }
-        return;
-      }
-    }
-  };
-  auto drain_one_decode = [&](const char* reason) {
-    for (int i = static_cast<int>(S.d_state.size()) - 1; i >= 0; --i) {
-      if (!(S.d_state[i] & (kInactive | kDraining | kDown))) {
-        if (decode_idle_empty(i)) {
-          retire_decode(i, reason);
-        } else {
-          S.d_state[i] |= kDraining;
-          sync_d_ready(i);
-          S.d_drain_reason[i] = reason;
+          pool.state[i] |= kDraining;
+          pool.SyncReady(i);
+          pool.drain_reason[i] = reason;
         }
         return;
       }
@@ -1052,82 +1076,21 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       ++metrics.dropped_requests;
     }
   };
-
-  // An instance failure kills its in-flight work (refunding the busy time
-  // the unfinished pass/step had claimed up front), requeues or drops the
-  // victims per the retry policy, and takes the instance down for the
-  // spare-activation delay (consuming a free spare whose repaired device
-  // returns later) or the full repair. A draining instance that fails
-  // simply retires — the autoscaler wanted it gone anyway. domain >= 0
-  // marks a member of a correlated domain outage: it bypasses hot spares
-  // (a rack outage is not maskable by a spare device) and waits out the
-  // domain repair instead of the instance repair.
-  auto fail_prefill = [&](int i, int domain) {
-    if (degrade_enabled) {
-      close_degrade_prefill(i);
-    }
-    ++S.p_epoch[i];
-    int killed = 0;
+  // The victims of a failure, requeued or dropped; each returns the tokens
+  // of work they lose. A prefill pass loses its prompts.
+  auto kill_prefill_pass = [&](int i) {
     double lost = 0.0;
     std::vector<int>& slots = S.p_batch[static_cast<size_t>(i)];
-    if (S.p_state[i] & kBusy) {
-      S.p_busy_time[i] -= S.p_pass_started[i] + S.p_pass_duration[i] - now;
-      killed = static_cast<int>(slots.size());
-      for (int req : slots) {
-        lost += requests.prompt_tokens[static_cast<size_t>(req)];
-        requeue_or_drop(req);
-      }
-      slots.clear();
-      S.p_state[i] &= static_cast<uint8_t>(~kBusy);
+    for (int req : slots) {
+      lost += requests.prompt_tokens[static_cast<size_t>(req)];
+      requeue_or_drop(req);
     }
-    metrics.lost_tokens += lost;
-    if (S.p_state[i] & kDraining) {
-      metrics.fault_events.push_back({now, FaultEventKind::kFailure, ScalePool::kPrefill,
-                                      i, killed, lost, prefill_spares_free, domain});
-      retire_prefill(i, S.p_drain_reason[i]);
-      return;
-    }
-    S.p_state[i] |= kDown;
-    sync_p_ready(i);
-    S.p_via_spare[i] = 0;
-    double delay = faults.repair_s;
-    if (domain >= 0) {
-      delay = domains.repair_s;
-    } else if (prefill_spares_free > 0) {
-      --prefill_spares_free;
-      S.p_via_spare[i] = 1;
-      delay = faults.spare_activation_s;
-      events.Push({now + faults.repair_s, ServeEventKind::kPrefillSpareReturn, i});
-    }
-    metrics.fault_events.push_back({now, FaultEventKind::kFailure, ScalePool::kPrefill, i,
-                                    killed, lost, prefill_spares_free, domain});
-    events.Push({now + delay, ServeEventKind::kPrefillRecover, i, S.p_epoch[i]});
+    slots.clear();
+    return lost;
   };
-
-  auto fail_decode = [&](int i, int domain) {
-    if (i == armed) {
-      // Arming cut i's run, so i is no candidate: the next one takes over.
-      arm();
-    }
-    if (is_coalesced(i)) {
-      // Steps that finished before the failure still count, at the
-      // degraded state they ran under.
-      catch_up(i, now, /*inclusive=*/false);
-      clear_coalesced(i);
-    }
-    if (degrade_enabled) {
-      close_degrade_decode(i);
-    }
-    ++S.d_epoch[i];
-    ++S.d_step_token[i];  // stales the killed step's event
-    int killed = S.d_active_count[i];
+  // A decode batch loses the tokens generated so far, in slot order.
+  auto kill_decode_batch = [&](int i) {
     double lost = 0.0;
-    if (S.d_state[i] & kBusy) {
-      double unfinished = S.d_step_started[i] + S.d_step_duration[i] - now;
-      S.d_busy_time[i] -= unfinished;
-      S.d_batch_time_product[i] -= static_cast<double>(killed) * unfinished;
-      S.d_state[i] &= static_cast<uint8_t>(~kBusy);
-    }
     std::vector<DecodeSlot>& slots = S.d_slots[static_cast<size_t>(i)];
     for (const DecodeSlot& slot : slots) {
       int req = slot.request;
@@ -1149,28 +1112,80 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     if (track_classes) {
       std::fill_n(&S.class_active[static_cast<size_t>(i) * ncls], ncls, 0);
     }
+    return lost;
+  };
+
+  // An instance failure kills its in-flight work (refunding the busy time
+  // the unfinished pass/step had claimed up front), requeues or drops the
+  // victims per the retry policy, and takes the instance down for the
+  // spare-activation delay (consuming a free spare whose repaired device
+  // returns later) or the full repair. A draining instance that fails
+  // simply retires — the autoscaler wanted it gone anyway. domain >= 0
+  // marks a member of a correlated domain outage: it bypasses hot spares
+  // (a rack outage is not maskable by a spare device) and waits out the
+  // domain repair instead of the instance repair.
+  auto fail = [&](ScalePool p, int i, int domain) {
+    InstancePool& pool = S.Pool(p);
+    const bool decode = p == ScalePool::kDecode;
+    if (decode) {
+      if (i == armed) {
+        // Arming cut i's run, so i is no candidate: the next one takes over.
+        arm();
+      }
+      if (is_coalesced(i)) {
+        // Steps that finished before the failure still count, at the
+        // degraded state they ran under.
+        catch_up(i, now, /*inclusive=*/false);
+        clear_coalesced(i);
+      }
+      ++S.d_step_token[i];  // stales the killed step's event
+    }
+    if (degrade_enabled) {
+      close_degrade(p, i);
+    }
+    ++pool.epoch[i];
+    const int killed =
+        decode ? S.d_active_count[i] : static_cast<int>(S.p_batch[static_cast<size_t>(i)].size());
+    if (pool.state[i] & kBusy) {
+      double unfinished = pool.work_started[i] + pool.work_duration[i] - now;
+      pool.busy_time[i] -= unfinished;
+      if (decode) {
+        S.d_batch_time_product[i] -= static_cast<double>(killed) * unfinished;
+      }
+      pool.state[i] &= static_cast<uint8_t>(~kBusy);
+    }
+    const double lost = decode ? kill_decode_batch(i) : kill_prefill_pass(i);
     metrics.lost_tokens += lost;
-    if (S.d_state[i] & kDraining) {
-      metrics.fault_events.push_back({now, FaultEventKind::kFailure, ScalePool::kDecode,
-                                      i, killed, lost, decode_spares_free, domain});
-      retire_decode(i, S.d_drain_reason[i]);
+    if (pool.state[i] & kDraining) {
+      metrics.fault_events.push_back(
+          {now, FaultEventKind::kFailure, p, i, killed, lost, pool.spares_free, domain});
+      retire(p, i, pool.drain_reason[i]);
       return;
     }
-    S.d_state[i] |= kDown;
-    sync_d_ready(i);
-    S.d_via_spare[i] = 0;
+    pool.state[i] |= kDown;
+    pool.SyncReady(i);
+    pool.via_spare[i] = 0;
     double delay = faults.repair_s;
     if (domain >= 0) {
       delay = domains.repair_s;
-    } else if (decode_spares_free > 0) {
-      --decode_spares_free;
-      S.d_via_spare[i] = 1;
+    } else if (pool.spares_free > 0) {
+      --pool.spares_free;
+      pool.via_spare[i] = 1;
       delay = faults.spare_activation_s;
-      events.Push({now + faults.repair_s, ServeEventKind::kDecodeSpareReturn, i});
+      events.Push({now + faults.repair_s, KindOf(ServeEventKind::kPrefillSpareReturn, p), i});
     }
-    metrics.fault_events.push_back({now, FaultEventKind::kFailure, ScalePool::kDecode, i,
-                                    killed, lost, decode_spares_free, domain});
-    events.Push({now + delay, ServeEventKind::kDecodeRecover, i, S.d_epoch[i]});
+    metrics.fault_events.push_back(
+        {now, FaultEventKind::kFailure, p, i, killed, lost, pool.spares_free, domain});
+    events.Push({now + delay, KindOf(ServeEventKind::kPrefillRecover, p), i, pool.epoch[i]});
+  };
+
+  // Hands work to pool p's ready instances.
+  auto dispatch = [&](ScalePool p) {
+    if (p == ScalePool::kPrefill) {
+      try_start_prefill(now);
+    } else {
+      try_start_decode_step(now, -1);
+    }
   };
 
   // One autoscaler decision: reactive thresholds on backlog/utilization, or
@@ -1181,24 +1196,6 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     // boundary at `now`: replay every coalesced run up to and including it.
     for_each_coalesced([&](int i) { catch_up(i, now, /*inclusive=*/true); });
     double window = now - prev_tick_time;
-    int live_prefill = 0;
-    int live_decode = 0;
-    double prefill_busy = 0.0;
-    double decode_busy = 0.0;
-    // Down (failed) instances are not live: the autoscaler sees the
-    // reduced pool and can provision replacements while repairs run.
-    for (size_t i = 0; i < S.p_state.size(); ++i) {
-      if (!(S.p_state[i] & (kInactive | kDraining | kDown))) {
-        ++live_prefill;
-      }
-      prefill_busy += S.p_busy_time[i];
-    }
-    for (size_t i = 0; i < S.d_state.size(); ++i) {
-      if (!(S.d_state[i] & (kInactive | kDraining | kDown))) {
-        ++live_decode;
-      }
-      decode_busy += S.d_busy_time[i];
-    }
 
     // Predictive forecast: per-class token demand over two half-windows,
     // linearly extrapolated half a window ahead, clamped at zero per class
@@ -1232,52 +1229,44 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       }
     }
 
-    auto plan_pool = [&](ScalePool pool) {
-      bool is_prefill = pool == ScalePool::kPrefill;
-      int live = is_prefill ? live_prefill : live_decode;
-      int& pending = is_prefill ? pending_prefill_ups : pending_decode_ups;
-      auto& up_reasons = is_prefill ? prefill_up_reasons : decode_up_reasons;
-      double per_instance = is_prefill ? scaler.prefill_tokens_per_s : scaler.decode_tokens_per_s;
-      double queued_tokens = is_prefill ? queued_prompt_tokens : queued_output_tokens;
-      double busy_delta =
-          is_prefill ? prefill_busy - prev_prefill_busy : decode_busy - prev_decode_busy;
-      int min_n = is_prefill ? scaler.min_prefill_instances : scaler.min_decode_instances;
-      int max_n = is_prefill ? scaler.max_prefill_instances : scaler.max_decode_instances;
-      double utilization =
-          (window > 0.0 && live > 0) ? busy_delta / (live * window) : 0.0;
-      double backlog_s = per_instance > 0.0
-                             ? queued_tokens / (std::max(1, live) * per_instance)
-                             : 0.0;
-      int target = live + pending;
+    auto plan_pool = [&](ScalePool p) {
+      InstancePool& pool = S.Pool(p);
+      // Down (failed) instances are not live: the autoscaler sees the
+      // reduced pool and can provision replacements while repairs run.
+      const int n = pool.LiveCount();
+      const double busy = pool.TotalBusy();
+      double busy_delta = busy - pool.prev_tick_busy;
+      pool.prev_tick_busy = busy;
+      const double per_instance = pool.tokens_per_s;
+      const double queued_tokens = PerPool(p, queued_prompt_tokens, queued_output_tokens);
+      double utilization = (window > 0.0 && n > 0) ? busy_delta / (n * window) : 0.0;
+      double backlog_s =
+          per_instance > 0.0 ? queued_tokens / (std::max(1, n) * per_instance) : 0.0;
+      int target = n + pool.pending_ups;
 
       auto schedule_up = [&](const char* reason) {
-        events.Push({now + scaler.delay_s,
-                     is_prefill ? ServeEventKind::kPrefillUp : ServeEventKind::kDecodeUp,
-                     up_seq++});
-        up_reasons.push_back(reason);
-        ++pending;
+        events.Push({now + scaler.delay_s, KindOf(ServeEventKind::kPrefillUp, p), up_seq++});
+        pool.up_reasons.push_back(reason);
+        ++pool.pending_ups;
         ++target;
       };
 
       if (scaler.predictive) {
-        double forecast_rate = is_prefill ? forecast_prompt_rate : forecast_output_rate;
-        int desired = live;
+        double forecast_rate = PerPool(p, forecast_prompt_rate, forecast_output_rate);
+        int desired = n;
         if (per_instance > 0.0) {
           desired = static_cast<int>(std::ceil(scaler.headroom * forecast_rate / per_instance));
         }
-        desired = std::min(std::max(desired, min_n), max_n);
+        desired = std::min(std::max(desired, pool.min_instances), pool.max_instances);
         while (target < desired) {
           schedule_up("forecast");
         }
-        if (backlog_s > scaler.scale_up_backlog_s && target < max_n) {
+        if (backlog_s > scaler.scale_up_backlog_s && target < pool.max_instances) {
           schedule_up("backlog");  // reactive safety net under forecast misses
         }
-        if (pending == 0 && target > desired && queued_tokens <= 0.0 && target > min_n) {
-          if (is_prefill) {
-            drain_one_prefill("forecast");
-          } else {
-            drain_one_decode("forecast");
-          }
+        if (pool.pending_ups == 0 && target > desired && queued_tokens <= 0.0 &&
+            target > pool.min_instances) {
+          drain_one(p, "forecast");
         }
         return;
       }
@@ -1289,45 +1278,28 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         up_reason = "utilization";
       }
       if (up_reason != nullptr) {
-        if (target < max_n) {
+        if (target < pool.max_instances) {
           schedule_up(up_reason);
         }
-      } else if (pending == 0 && target > min_n &&
+      } else if (pool.pending_ups == 0 && target > pool.min_instances &&
                  utilization < scaler.scale_down_utilization && queued_tokens <= 0.0) {
-        if (is_prefill) {
-          drain_one_prefill("utilization");
-        } else {
-          drain_one_decode("utilization");
-        }
+        drain_one(p, "utilization");
       }
     };
-    plan_pool(ScalePool::kPrefill);
-    plan_pool(ScalePool::kDecode);
+    for (ScalePool p : kPools) {
+      plan_pool(p);
+    }
 
     prev_tick_time = now;
-    prev_prefill_busy = prefill_busy;
-    prev_decode_busy = decode_busy;
 
     // Keep ticking only while there is anything left to manage; otherwise
     // the tick stream would keep the event loop alive forever (the default
     // horizon is effectively infinite).
     bool work_left = next_arrival < nreq || !prefill_queue.empty() ||
-                     !decode_queue.empty() || pending_prefill_ups > 0 ||
-                     pending_decode_ups > 0;
-    if (!work_left) {
-      for (size_t i = 0; i < S.p_state.size(); ++i) {
-        if (S.p_state[i] & kBusy) {
-          work_left = true;
-          break;
-        }
-      }
-    }
-    if (!work_left) {
-      for (size_t i = 0; i < S.d_state.size(); ++i) {
-        if ((S.d_state[i] & kBusy) || decode_holds_work(static_cast<int>(i))) {
-          work_left = true;
-          break;
-        }
+                     !decode_queue.empty() || P.pending_ups > 0 || D.pending_ups > 0;
+    for (ScalePool p : kPools) {
+      for (size_t i = 0; i < S.Pool(p).size() && !work_left; ++i) {
+        work_left = holds_work(p, static_cast<int>(i));
       }
     }
     if (work_left) {
@@ -1345,7 +1317,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       for_each_coalesced([&](int i) {
         if (can_admit(i)) {
           assert(armed >= 0 && "decode work is queued but no run is armed");
-          double armed_end = S.d_step_started[armed] + S.d_step_duration[armed];
+          double armed_end = D.work_started[armed] + D.work_duration[armed];
           double boundary = next_boundary(i);
           assert((armed_end < boundary || (armed_end == boundary && armed < i)) &&
                  "a coalesced run reaches a step boundary before the armed instance");
@@ -1385,12 +1357,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
               static_cast<int>(prefill_queue.size()) >= shedding.max_queue_depth) {
             shed = true;
           } else if (shedding.ttft_deadline_s > 0.0) {
-            int live = 0;
-            for (size_t i = 0; i < S.p_state.size(); ++i) {
-              if (!(S.p_state[i] & (kInactive | kDraining | kDown))) {
-                ++live;
-              }
-            }
+            const int live = P.LiveCount();
             if (live == 0) {
               shed = true;
               shed_reason = ShedReason::kDeadline;
@@ -1455,8 +1422,8 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         assert(S.d_run_left[i] == 0 && "a coalesced run ended with skipped steps unreplayed");
         clear_coalesced(i);
       }
-      S.d_state[i] &= static_cast<uint8_t>(~kBusy);
-      sync_d_ready(i);
+      D.state[i] &= static_cast<uint8_t>(~kBusy);
+      D.SyncReady(i);
       account_steps(i, 1);
       // Sequences whose remaining count just hit zero are exactly the
       // completion-heap entries at the new step count.
@@ -1503,8 +1470,8 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         }
         S.finished_pos.clear();
       }
-      if ((S.d_state[i] & kDraining) && S.d_active_count[i] == 0) {
-        retire_decode(i, S.d_drain_reason[i]);
+      if ((D.state[i] & kDraining) && S.d_active_count[i] == 0) {
+        retire(ScalePool::kDecode, i, D.drain_reason[i]);
       }
       try_start_decode_step(now, i);
       if (i == armed) {
@@ -1514,7 +1481,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     }
     if (event.kind == ServeEventKind::kPrefillDone) {
       int i = event.instance;
-      if (faults_enabled && event.epoch != S.p_epoch[i]) {
+      if (faults_enabled && event.epoch != P.epoch[i]) {
         continue;  // the pass was killed by a failure before it finished
       }
       progress_now = now;
@@ -1535,10 +1502,10 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         }
       }
       slots.clear();
-      S.p_state[i] &= static_cast<uint8_t>(~kBusy);
-      sync_p_ready(i);
-      if (S.p_state[i] & kDraining) {
-        retire_prefill(i, S.p_drain_reason[i]);
+      P.state[i] &= static_cast<uint8_t>(~kBusy);
+      P.SyncReady(i);
+      if (P.state[i] & kDraining) {
+        retire(ScalePool::kPrefill, i, P.drain_reason[i]);
       }
       try_start_prefill(now);
       try_start_decode_step(now, -1);
@@ -1552,251 +1519,159 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       autoscale_tick();
       continue;
     }
-    if (event.kind == ServeEventKind::kPrefillFail ||
-        event.kind == ServeEventKind::kDecodeFail) {
-      bool is_prefill = event.kind == ServeEventKind::kPrefillFail;
-      bool live = is_prefill ? (!(S.p_state[event.instance] & kInactive) &&
-                                event.epoch == S.p_epoch[event.instance])
-                             : (!(S.d_state[event.instance] & kInactive) &&
-                                event.epoch == S.d_epoch[event.instance]);
-      if (live) {
+
+    // The instance lifecycle, one handler per pair of (prefill, decode)
+    // kinds.
+    const ScalePool p = PoolOf(event.kind);
+    InstancePool& pool = S.Pool(p);
+    const int i = event.instance;
+    switch (event.kind) {
+      case ServeEventKind::kPrefillFail:
+      case ServeEventKind::kDecodeFail:
+        if (pool.Current(i, event.epoch)) {
+          double lost_before = metrics.lost_tokens;
+          fail(p, i, /*domain=*/-1);
+          note_outage(metrics.lost_tokens - lost_before);
+          // Retried victims queue for prefill; surviving instances pick
+          // them up immediately.
+          try_start_prefill(now);
+        }
+        break;
+      case ServeEventKind::kPrefillDomainFail:
+      case ServeEventKind::kDecodeDomainFail: {
+        // One domain outage downs every live member at this timestamp, in
+        // ascending instance order; the whole group is one outage for the
+        // blast-radius / drain accounting. The event's instance is the
+        // domain.
+        const int lo = i * pool.instances_per_domain;
+        const int hi = std::min(static_cast<int>(pool.size()), lo + pool.instances_per_domain);
         double lost_before = metrics.lost_tokens;
-        if (is_prefill) {
-          fail_prefill(event.instance, /*domain=*/-1);
-        } else {
-          fail_decode(event.instance, /*domain=*/-1);
+        for (int m = lo; m < hi; ++m) {
+          if (!(pool.state[m] & (kInactive | kDown))) {  // else nothing left to kill
+            fail(p, m, i);
+          }
         }
         note_outage(metrics.lost_tokens - lost_before);
-        // Retried victims queue for prefill; surviving instances pick
-        // them up immediately.
+        schedule_next_domain_failure(p, i, now);
         try_start_prefill(now);
+        break;
       }
-      continue;
-    }
-    if (event.kind == ServeEventKind::kPrefillDomainFail ||
-        event.kind == ServeEventKind::kDecodeDomainFail) {
-      // One domain outage downs every live member at this timestamp, in
-      // ascending instance order; the whole group is one outage for the
-      // blast-radius / drain accounting.
-      bool is_prefill = event.kind == ServeEventKind::kPrefillDomainFail;
-      int d = event.instance;
-      int ipd = is_prefill ? domains.prefill_instances_per_domain
-                           : domains.decode_instances_per_domain;
-      int n = static_cast<int>(is_prefill ? S.p_state.size() : S.d_state.size());
-      int lo = d * ipd;
-      int hi = std::min(n, lo + ipd);
-      double lost_before = metrics.lost_tokens;
-      for (int i = lo; i < hi; ++i) {
-        uint8_t state = is_prefill ? S.p_state[i] : S.d_state[i];
-        if (state & (kInactive | kDown)) {
-          continue;  // retired or already down: nothing left to kill
+      case ServeEventKind::kPrefillDegradeStart:
+      case ServeEventKind::kDecodeDegradeStart: {
+        if (!pool.Current(i, event.epoch)) {
+          break;
         }
-        if (is_prefill) {
-          fail_prefill(i, d);
-        } else {
-          fail_decode(i, d);
+        if (p == ScalePool::kDecode && is_coalesced(i)) {
+          cut_run(i);  // the next step dispatches at the new multiplier
         }
+        // The slot's stream yields gap, duration, gap, duration, ... in
+        // event order; failures stale pending windows via the epoch (the
+        // recovery reschedules the stream), so every draw happens at a
+        // deterministic simulated time regardless of thread count.
+        double duration = fault_streams->NextDegradeDuration(p, i, degraded.mean_duration_s);
+        pool.degrade_mult[i] = degraded.multiplier;
+        pool.degrade_since[i] = now;
+        ++metrics.degrade_windows;
+        metrics.fault_events.push_back(
+            {now, FaultEventKind::kDegradeStart, p, i, 0, 0.0, pool.spares_free});
+        events.Push({now + duration, KindOf(ServeEventKind::kPrefillDegradeEnd, p), i,
+                     event.epoch});
+        break;
       }
-      note_outage(metrics.lost_tokens - lost_before);
-      schedule_next_domain_failure(is_prefill ? ScalePool::kPrefill : ScalePool::kDecode,
-                                   d, now);
-      try_start_prefill(now);
-      continue;
-    }
-    if (event.kind == ServeEventKind::kPrefillDegradeStart ||
-        event.kind == ServeEventKind::kDecodeDegradeStart) {
-      bool is_prefill = event.kind == ServeEventKind::kPrefillDegradeStart;
-      int i = event.instance;
-      bool live = is_prefill ? (!(S.p_state[i] & kInactive) && event.epoch == S.p_epoch[i])
-                             : (!(S.d_state[i] & kInactive) && event.epoch == S.d_epoch[i]);
-      if (!live) {
-        continue;
-      }
-      if (!is_prefill && is_coalesced(i)) {
-        cut_run(i);  // the next step dispatches at the new multiplier
-      }
-      ScalePool pool = is_prefill ? ScalePool::kPrefill : ScalePool::kDecode;
-      // The slot's stream yields gap, duration, gap, duration, ... in event
-      // order; failures stale pending windows via the epoch (the recovery
-      // reschedules the stream), so every draw happens at a deterministic
-      // simulated time regardless of thread count.
-      double duration = fault_streams->NextDegradeDuration(pool, i, degraded.mean_duration_s);
-      if (is_prefill) {
-        S.p_degrade_mult[i] = degraded.multiplier;
-        S.p_degrade_since[i] = now;
-      } else {
-        S.d_degrade_mult[i] = degraded.multiplier;
-        S.d_degrade_since[i] = now;
-      }
-      ++metrics.degrade_windows;
-      metrics.fault_events.push_back({now, FaultEventKind::kDegradeStart, pool, i, 0, 0.0,
-                                      is_prefill ? prefill_spares_free : decode_spares_free});
-      events.Push({now + duration,
-                   is_prefill ? ServeEventKind::kPrefillDegradeEnd
-                              : ServeEventKind::kDecodeDegradeEnd,
-                   i, event.epoch});
-      continue;
-    }
-    if (event.kind == ServeEventKind::kPrefillDegradeEnd ||
-        event.kind == ServeEventKind::kDecodeDegradeEnd) {
-      bool is_prefill = event.kind == ServeEventKind::kPrefillDegradeEnd;
-      int i = event.instance;
-      bool live = is_prefill ? (!(S.p_state[i] & kInactive) && event.epoch == S.p_epoch[i])
-                             : (!(S.d_state[i] & kInactive) && event.epoch == S.d_epoch[i]);
-      if (!live) {
-        continue;  // a failure already cleared the window
-      }
-      if (is_prefill) {
-        close_degrade_prefill(i);
-      } else {
-        if (is_coalesced(i)) {
+      case ServeEventKind::kPrefillDegradeEnd:
+      case ServeEventKind::kDecodeDegradeEnd:
+        if (!pool.Current(i, event.epoch)) {
+          break;  // a failure already cleared the window
+        }
+        if (p == ScalePool::kDecode && is_coalesced(i)) {
           cut_run(i);
         }
-        close_degrade_decode(i);
-      }
-      ScalePool pool = is_prefill ? ScalePool::kPrefill : ScalePool::kDecode;
-      metrics.fault_events.push_back({now, FaultEventKind::kDegradeEnd, pool, i, 0, 0.0,
-                                      is_prefill ? prefill_spares_free : decode_spares_free});
-      schedule_next_degrade(pool, i, now, event.epoch);
-      continue;
-    }
-    if (event.kind == ServeEventKind::kPrefillRecover ||
-        event.kind == ServeEventKind::kDecodeRecover) {
-      if (event.kind == ServeEventKind::kPrefillRecover) {
-        int i = event.instance;
-        if ((S.p_state[i] & kInactive) || event.epoch != S.p_epoch[i]) {
-          continue;  // retired while down
+        close_degrade(p, i);
+        metrics.fault_events.push_back(
+            {now, FaultEventKind::kDegradeEnd, p, i, 0, 0.0, pool.spares_free});
+        schedule_next_degrade(p, i, now, event.epoch);
+        break;
+      case ServeEventKind::kPrefillRecover:
+      case ServeEventKind::kDecodeRecover:
+        if (!pool.Current(i, event.epoch)) {
+          break;  // retired while down
         }
-        S.p_state[i] &= static_cast<uint8_t>(~kDown);
-        sync_p_ready(i);
-        metrics.fault_events.push_back({now,
-                                        S.p_via_spare[i] ? FaultEventKind::kSpareActivation
-                                                         : FaultEventKind::kRepair,
-                                        ScalePool::kPrefill, i, 0, 0.0,
-                                        prefill_spares_free});
-        schedule_next_failure(ScalePool::kPrefill, i, now, S.p_epoch[i]);
-        schedule_next_degrade(ScalePool::kPrefill, i, now, S.p_epoch[i]);
-        try_start_prefill(now);
-      } else {
-        int i = event.instance;
-        if ((S.d_state[i] & kInactive) || event.epoch != S.d_epoch[i]) {
-          continue;
-        }
-        S.d_state[i] &= static_cast<uint8_t>(~kDown);
-        sync_d_ready(i);
-        metrics.fault_events.push_back({now,
-                                        S.d_via_spare[i] ? FaultEventKind::kSpareActivation
-                                                         : FaultEventKind::kRepair,
-                                        ScalePool::kDecode, i, 0, 0.0,
-                                        decode_spares_free});
-        schedule_next_failure(ScalePool::kDecode, i, now, S.d_epoch[i]);
-        schedule_next_degrade(ScalePool::kDecode, i, now, S.d_epoch[i]);
-        try_start_decode_step(now, -1);
-      }
-      continue;
-    }
-    if (event.kind == ServeEventKind::kPrefillSpareReturn ||
-        event.kind == ServeEventKind::kDecodeSpareReturn) {
-      bool is_prefill = event.kind == ServeEventKind::kPrefillSpareReturn;
-      int& spares_free = is_prefill ? prefill_spares_free : decode_spares_free;
-      ++spares_free;
-      metrics.fault_events.push_back({now, FaultEventKind::kSpareReturn,
-                                      is_prefill ? ScalePool::kPrefill : ScalePool::kDecode,
-                                      event.instance, 0, 0.0, spares_free});
-      continue;
-    }
-    if (event.kind == ServeEventKind::kPrefillUp ||
-        event.kind == ServeEventKind::kDecodeUp) {
-      if (event.kind == ServeEventKind::kPrefillUp) {
-        S.AddPrefill(now);
-        --pending_prefill_ups;
-        ++active_prefill;
-        metrics.peak_prefill_instances =
-            std::max(metrics.peak_prefill_instances, active_prefill);
-        const char* reason = prefill_up_reasons.front();
-        prefill_up_reasons.pop_front();
-        metrics.scale_events.push_back(
-            {now, ScalePool::kPrefill, +1, active_prefill, reason});
+        pool.state[i] &= static_cast<uint8_t>(~kDown);
+        pool.SyncReady(i);
+        metrics.fault_events.push_back(
+            {now, pool.via_spare[i] ? FaultEventKind::kSpareActivation : FaultEventKind::kRepair,
+             p, i, 0, 0.0, pool.spares_free});
+        schedule_next_failure(p, i, now, pool.epoch[i]);
+        schedule_next_degrade(p, i, now, pool.epoch[i]);
+        dispatch(p);
+        break;
+      case ServeEventKind::kPrefillSpareReturn:
+      case ServeEventKind::kDecodeSpareReturn:
+        ++pool.spares_free;
+        metrics.fault_events.push_back(
+            {now, FaultEventKind::kSpareReturn, p, i, 0, 0.0, pool.spares_free});
+        break;
+      case ServeEventKind::kPrefillUp:
+      case ServeEventKind::kDecodeUp: {
+        S.Add(p, now, config.num_classes);
+        --pool.pending_ups;
+        ++pool.active;
+        int& peak = PerPool(p, metrics.peak_prefill_instances, metrics.peak_decode_instances);
+        peak = std::max(peak, pool.active);
+        const char* reason = pool.up_reasons.front();
+        pool.up_reasons.pop_front();
+        metrics.scale_events.push_back({now, p, +1, pool.active, reason});
         if (faults_enabled) {
-          int slot = static_cast<int>(S.p_state.size()) - 1;
-          schedule_next_failure(ScalePool::kPrefill, slot, now, 0);
-          schedule_new_domains(ScalePool::kPrefill, now);
-          schedule_next_degrade(ScalePool::kPrefill, slot, now, 0);
+          int slot = static_cast<int>(pool.size()) - 1;
+          schedule_next_failure(p, slot, now, 0);
+          schedule_new_domains(p, now);
+          schedule_next_degrade(p, slot, now, 0);
         }
-        try_start_prefill(now);
-      } else {
-        S.AddDecode(now, config.num_classes);
-        --pending_decode_ups;
-        ++active_decode;
-        metrics.peak_decode_instances =
-            std::max(metrics.peak_decode_instances, active_decode);
-        const char* reason = decode_up_reasons.front();
-        decode_up_reasons.pop_front();
-        metrics.scale_events.push_back(
-            {now, ScalePool::kDecode, +1, active_decode, reason});
-        if (faults_enabled) {
-          int slot = static_cast<int>(S.d_state.size()) - 1;
-          schedule_next_failure(ScalePool::kDecode, slot, now, 0);
-          schedule_new_domains(ScalePool::kDecode, now);
-          schedule_next_degrade(ScalePool::kDecode, slot, now, 0);
-        }
-        try_start_decode_step(now, -1);
+        dispatch(p);
+        break;
       }
-      continue;
+      default:
+        assert(false && "unhandled serve event kind");
     }
-
   }
 
   assert(coalesced_count == 0 && "a coalesced run outlived the event loop");
   metrics.makespan_s = std::max(metrics.makespan_s, progress_now);
   metrics.peak_demand_entries = peak_demand_entries;
-  if (metrics.makespan_s > 0.0) {
-    metrics.decode_tokens_per_s = metrics.output_tokens / metrics.makespan_s;
-    double prefill_busy = 0.0;
-    for (double b : S.p_busy_time) {
-      prefill_busy += b;
+  const double makespan = metrics.makespan_s;
+  if (makespan > 0.0) {
+    metrics.decode_tokens_per_s = metrics.output_tokens / makespan;
+    for (ScalePool p : kPools) {
+      const InstancePool& pool = S.Pool(p);
+      const double busy = pool.TotalBusy();
+      double& utilization = PerPool(p, metrics.prefill_utilization, metrics.decode_utilization);
+      if (scaler.enabled || faults_enabled) {
+        // Provisioned instance-seconds over [0, makespan]: each instance
+        // contributes its up..down (or up..end) lifetime, clamped so retires
+        // recorded by trailing decision ticks don't overrun the makespan.
+        // Fault runs fill these even with a fixed pool, so measured
+        // availability has its 1 - downtime / provisioned denominator.
+        double& instance_s =
+            PerPool(p, metrics.prefill_instance_seconds, metrics.decode_instance_seconds);
+        for (size_t i = 0; i < pool.size(); ++i) {
+          double end =
+              pool.down_time[i] >= 0.0 ? std::min(pool.down_time[i], makespan) : makespan;
+          instance_s += std::max(0.0, end - pool.up_time[i]);
+        }
+        utilization = instance_s > 0.0 ? busy / instance_s : 0.0;
+        PerPool(p, metrics.final_prefill_instances, metrics.final_decode_instances) = pool.active;
+      } else {
+        utilization =
+            busy / (PerPool(p, config.prefill_instances, config.decode_instances) * makespan);
+      }
+      PerPool(p, metrics.prefill_busy_s, metrics.decode_busy_s) = busy;
     }
-    double decode_busy = 0.0;
     double batch_product = 0.0;
-    for (size_t i = 0; i < S.d_state.size(); ++i) {
-      decode_busy += S.d_busy_time[i];
-      batch_product += S.d_batch_time_product[i];
+    for (double b : S.d_batch_time_product) {
+      batch_product += b;
     }
-    if (scaler.enabled || faults_enabled) {
-      // Provisioned instance-seconds over [0, makespan]: each instance
-      // contributes its up..down (or up..end) lifetime, clamped so retires
-      // recorded by trailing decision ticks don't overrun the makespan.
-      // Fault runs fill these even with a fixed pool, so measured
-      // availability has its 1 - downtime / provisioned denominator.
-      for (size_t i = 0; i < S.p_state.size(); ++i) {
-        double end = S.p_down_time[i] >= 0.0
-                         ? std::min(S.p_down_time[i], metrics.makespan_s)
-                         : metrics.makespan_s;
-        metrics.prefill_instance_seconds += std::max(0.0, end - S.p_up_time[i]);
-      }
-      for (size_t i = 0; i < S.d_state.size(); ++i) {
-        double end = S.d_down_time[i] >= 0.0
-                         ? std::min(S.d_down_time[i], metrics.makespan_s)
-                         : metrics.makespan_s;
-        metrics.decode_instance_seconds += std::max(0.0, end - S.d_up_time[i]);
-      }
-      metrics.prefill_utilization = metrics.prefill_instance_seconds > 0.0
-                                        ? prefill_busy / metrics.prefill_instance_seconds
-                                        : 0.0;
-      metrics.decode_utilization = metrics.decode_instance_seconds > 0.0
-                                       ? decode_busy / metrics.decode_instance_seconds
-                                       : 0.0;
-      metrics.final_prefill_instances = active_prefill;
-      metrics.final_decode_instances = active_decode;
-    } else {
-      metrics.prefill_utilization =
-          prefill_busy / (config.prefill_instances * metrics.makespan_s);
-      metrics.decode_utilization =
-          decode_busy / (config.decode_instances * metrics.makespan_s);
-    }
-    metrics.mean_decode_batch = decode_busy > 0.0 ? batch_product / decode_busy : 0.0;
-    metrics.prefill_busy_s = prefill_busy;
-    metrics.decode_busy_s = decode_busy;
+    metrics.mean_decode_batch =
+        metrics.decode_busy_s > 0.0 ? batch_product / metrics.decode_busy_s : 0.0;
     metrics.decode_batch_time_product = batch_product;
     if (faults_enabled) {
       // Per-pool downtime over [0, makespan], replayed from the event log:
@@ -1804,50 +1679,40 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       // An interval left open by a retired-while-draining instance (no
       // recovery was scheduled) contributes nothing — the retirement is
       // already accounted in the instance-seconds integral.
-      std::vector<double> down_since_prefill(S.p_state.size(), -1.0);
-      std::vector<double> down_since_decode(S.d_state.size(), -1.0);
+      std::vector<double> down_since[2] = {std::vector<double>(P.size(), -1.0),
+                                           std::vector<double>(D.size(), -1.0)};
       for (const FaultEvent& e : metrics.fault_events) {
-        bool is_prefill = e.pool == ScalePool::kPrefill;
-        std::vector<double>& down_since =
-            is_prefill ? down_since_prefill : down_since_decode;
-        double& downtime = is_prefill ? metrics.prefill_fault_downtime_s
-                                      : metrics.decode_fault_downtime_s;
-        size_t i = static_cast<size_t>(e.instance);
+        double& since =
+            down_since[static_cast<size_t>(e.pool)][static_cast<size_t>(e.instance)];
         if (e.kind == FaultEventKind::kFailure) {
-          down_since[i] = e.time_s;
+          since = e.time_s;
         } else if (e.kind == FaultEventKind::kSpareActivation ||
                    e.kind == FaultEventKind::kRepair) {
-          downtime += std::min(e.time_s, metrics.makespan_s) -
-                      std::min(down_since[i], metrics.makespan_s);
-          down_since[i] = -1.0;
+          PerPool(e.pool, metrics.prefill_fault_downtime_s, metrics.decode_fault_downtime_s) +=
+              std::min(e.time_s, makespan) - std::min(since, makespan);
+          since = -1.0;
         }
       }
-      for (size_t i = 0; i < down_since_prefill.size(); ++i) {
-        if (down_since_prefill[i] >= 0.0 && !(S.p_state[i] & kInactive)) {
-          metrics.prefill_fault_downtime_s +=
-              metrics.makespan_s - std::min(down_since_prefill[i], metrics.makespan_s);
-        }
-      }
-      for (size_t i = 0; i < down_since_decode.size(); ++i) {
-        if (down_since_decode[i] >= 0.0 && !(S.d_state[i] & kInactive)) {
-          metrics.decode_fault_downtime_s +=
-              metrics.makespan_s - std::min(down_since_decode[i], metrics.makespan_s);
+      for (ScalePool p : kPools) {
+        const std::vector<double>& since = down_since[static_cast<size_t>(p)];
+        for (size_t i = 0; i < since.size(); ++i) {
+          if (since[i] >= 0.0 && !(S.Pool(p).state[i] & kInactive)) {
+            PerPool(p, metrics.prefill_fault_downtime_s, metrics.decode_fault_downtime_s) +=
+                makespan - std::min(since[i], makespan);
+          }
         }
       }
     }
   }
   if (degrade_enabled) {
     // Close windows still open at the end of the run, clipped to makespan.
-    for (size_t i = 0; i < S.p_state.size(); ++i) {
-      if (S.p_degrade_since[i] >= 0.0) {
-        metrics.prefill_degraded_instance_s +=
-            std::max(0.0, metrics.makespan_s - S.p_degrade_since[i]);
-      }
-    }
-    for (size_t i = 0; i < S.d_state.size(); ++i) {
-      if (S.d_degrade_since[i] >= 0.0) {
-        metrics.decode_degraded_instance_s +=
-            std::max(0.0, metrics.makespan_s - S.d_degrade_since[i]);
+    for (ScalePool p : kPools) {
+      const InstancePool& pool = S.Pool(p);
+      for (size_t i = 0; i < pool.size(); ++i) {
+        if (pool.degrade_since[i] >= 0.0) {
+          PerPool(p, metrics.prefill_degraded_instance_s, metrics.decode_degraded_instance_s) +=
+              std::max(0.0, makespan - pool.degrade_since[i]);
+        }
       }
     }
   }
