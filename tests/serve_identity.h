@@ -41,6 +41,9 @@ inline void ExpectSameServeMetrics(const ServeMetrics& a, const ServeMetrics& b)
   EXPECT_EQ(a.prefill_utilization, b.prefill_utilization);
   EXPECT_EQ(a.decode_utilization, b.decode_utilization);
   EXPECT_EQ(a.mean_decode_batch, b.mean_decode_batch);
+  EXPECT_EQ(a.prefill_busy_s, b.prefill_busy_s);
+  EXPECT_EQ(a.decode_busy_s, b.decode_busy_s);
+  EXPECT_EQ(a.decode_batch_time_product, b.decode_batch_time_product);
   ASSERT_EQ(a.ttft_s.count(), b.ttft_s.count());
   for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
     EXPECT_EQ(a.ttft_s.Quantile(q), b.ttft_s.Quantile(q)) << q;
@@ -75,6 +78,9 @@ inline void ExpectSameServeMetrics(const ServeMetrics& a, const ServeMetrics& b)
   EXPECT_EQ(a.decode_instance_seconds, b.decode_instance_seconds);
   EXPECT_EQ(a.peak_prefill_instances, b.peak_prefill_instances);
   EXPECT_EQ(a.peak_decode_instances, b.peak_decode_instances);
+  EXPECT_EQ(a.final_prefill_instances, b.final_prefill_instances);
+  EXPECT_EQ(a.final_decode_instances, b.final_decode_instances);
+  EXPECT_EQ(a.peak_demand_entries, b.peak_demand_entries);
   ASSERT_EQ(a.scale_events.size(), b.scale_events.size());
   for (size_t i = 0; i < a.scale_events.size(); ++i) {
     const ScaleEvent& x = a.scale_events[i];
@@ -96,6 +102,7 @@ inline void ExpectSameServeMetrics(const ServeMetrics& a, const ServeMetrics& b)
   EXPECT_EQ(a.decode_degraded_instance_s, b.decode_degraded_instance_s);
   EXPECT_EQ(a.degraded_output_tokens, b.degraded_output_tokens);
   EXPECT_EQ(a.largest_outage_time_s, b.largest_outage_time_s);
+  EXPECT_EQ(a.largest_outage_lost_tokens, b.largest_outage_lost_tokens);
   EXPECT_EQ(a.time_to_drain_s, b.time_to_drain_s);
   ASSERT_EQ(a.fault_events.size(), b.fault_events.size());
   for (size_t i = 0; i < a.fault_events.size(); ++i) {
