@@ -62,6 +62,7 @@
 #include <string>
 #include <vector>
 
+#include "src/serve/arming.h"
 #include "src/serve/dary_heap.h"
 #include "src/serve/event_queue.h"
 #include "src/util/fp_repeat.h"
@@ -151,82 +152,6 @@ int CompletionRequestBits(size_t num_requests) {
   return num_requests > 1 ? 64 - __builtin_clzll(static_cast<uint64_t>(num_requests - 1)) : 1;
 }
 
-// How many of the `left` steps after the one started at `started` end
-// before t (or at t, if `inclusive`), with each end the sequential sum the
-// per-step events made — started + duration, then + duration per step —
-// and the last such end (`started` if none). Sequential ends never
-// decrease, so those steps are a prefix of the run. A short prefix is
-// walked add by add; a long one is estimated from the real-valued step
-// count, then settled exactly by galloping and bisecting over RepeatAdd.
-struct StepsBefore {
-  uint64_t count;
-  double end;
-};
-
-StepsBefore CountStepsBefore(double started, double duration, uint64_t left, double t,
-                             bool inclusive) {
-  auto before = [&](double end) { return end < t || (inclusive && end == t); };
-  const double estimate =
-      left < kRepeatAddMinJump || !(duration > 0.0) ? 0.0 : (t - started) / duration;
-  if (!(estimate >= kRepeatAddMinJump)) {
-    uint64_t k = 0;
-    for (double end = started + duration; k < left && before(end); end = started + duration) {
-      started = end;
-      ++k;
-    }
-    return {k, started};
-  }
-  // Steps 1..lo end before t, the lo-th at lo_end; step hi does not (hi =
-  // left + 1 stands for past the run).
-  uint64_t lo = 0;
-  double lo_end = started;
-  uint64_t hi = left + 1;
-  // Aim one step under the estimate, so the first probe nearly always
-  // lands inside the prefix and the gallop only walks forward.
-  const uint64_t guess = estimate - 1.0 >= static_cast<double>(left)
-                             ? left
-                             : static_cast<uint64_t>(estimate - 1.0);
-  const double guess_end = RepeatAdd(started, duration, guess);
-  if (before(guess_end)) {
-    lo = guess;
-    lo_end = guess_end;
-  } else {
-    hi = guess;
-  }
-  if (hi == left + 1) {
-    for (uint64_t step = 1; lo + step < hi; step *= 2) {
-      double end = RepeatAdd(lo_end, duration, step);
-      if (!before(end)) {
-        hi = lo + step;
-        break;
-      }
-      lo += step;
-      lo_end = end;
-    }
-  } else {
-    for (uint64_t step = 1; step < hi - lo; step *= 2) {
-      double end = RepeatAdd(started, duration, hi - step);
-      if (before(end)) {
-        lo = hi - step;
-        lo_end = end;
-        break;
-      }
-      hi -= step;
-    }
-  }
-  while (hi - lo > 1) {
-    uint64_t mid = lo + (hi - lo) / 2;
-    double end = RepeatAdd(lo_end, duration, mid - lo);
-    if (before(end)) {
-      lo = mid;
-      lo_end = end;
-    } else {
-      hi = mid;
-    }
-  }
-  return {lo, lo_end};
-}
-
 // One active decode sequence in a fault run's slot array.
 struct DecodeSlot {
   int request;
@@ -248,6 +173,10 @@ struct InstancePool {
   // hundred-instance prefill pool that scan is the simulator's single
   // largest cost.
   std::vector<uint64_t> ready;
+  // Live bitmask, the same shape: bit i set iff Live(i). LiveCount is a
+  // popcount, not a scan of the pool — deadline shedding reads it on every
+  // arrival.
+  std::vector<uint64_t> live;
   std::vector<double> busy_time, up_time, down_time;
   // The pass (prefill) or step (decode) in flight: busy time claims its
   // whole duration at dispatch, and a failure refunds the unfinished part.
@@ -280,8 +209,9 @@ struct InstancePool {
   // retirement and no failure since it was scheduled.
   bool Current(size_t i, int ep) const { return !(state[i] & kInactive) && ep == epoch[i]; }
   bool IsReady(size_t i) const { return (ready[i >> 6] >> (i & 63)) & 1; }
-  // Refresh instance i's ready bit from its status byte. Called after every
-  // status mutation; the dispatch loops trust the bits completely.
+  // Refresh instance i's ready and live bits from its status byte. Called
+  // after every status mutation; the dispatch loops and LiveCount trust the
+  // bits completely.
   void SyncReady(size_t i) {
     const uint64_t bit = 1ull << (i & 63);
     if (state[i] & blocked) {
@@ -289,13 +219,25 @@ struct InstancePool {
     } else {
       ready[i >> 6] |= bit;
     }
+    if (Live(i)) {
+      live[i >> 6] |= bit;
+    } else {
+      live[i >> 6] &= ~bit;
+    }
   }
   int LiveCount() const {
-    int live = 0;
-    for (size_t i = 0; i < size(); ++i) {
-      live += Live(i);
+    int count = 0;
+    for (uint64_t word : live) {
+      count += __builtin_popcountll(word);
     }
-    return live;
+#ifndef NDEBUG
+    int scanned = 0;
+    for (size_t i = 0; i < size(); ++i) {
+      scanned += Live(i);
+    }
+    assert(count == scanned && "live bitmask out of step with the status bytes");
+#endif
+    return count;
   }
   double TotalBusy() const {
     double busy = 0.0;
@@ -309,8 +251,10 @@ struct InstancePool {
     const size_t i = size();
     if (ready.size() <= (i >> 6)) {
       ready.push_back(0);
+      live.push_back(0);
     }
     ready[i >> 6] |= 1ull << (i & 63);
+    live[i >> 6] |= 1ull << (i & 63);
     state.push_back(0);
     busy_time.push_back(0.0);
     up_time.push_back(up);
@@ -328,6 +272,7 @@ struct InstancePool {
   void Reset(ScalePool p, const ServeClusterConfig& config) {
     state.clear();
     ready.clear();
+    live.clear();
     busy_time.clear();
     up_time.clear();
     down_time.clear();
@@ -396,10 +341,15 @@ struct SimScratch {
   std::vector<uint64_t> d_coalesced;
   // Backlog arming's cursor into a coalesced run: a step start (and the
   // skipped steps left after it) no later than the run's next boundary at
-  // the last arming. Each arming walks on from it, so it costs the steps
-  // since the last one rather than a fresh count from catch_up's position.
+  // the last arming that searched it exactly. The next search walks on from
+  // it, and so does catch_up while it is ahead of work_started: the steps
+  // before it ended before an earlier `now`.
   std::vector<double> d_probe_started;
   std::vector<uint64_t> d_probe_left;
+  // Arming scratch: the runs that could admit queued work, and their
+  // windows' lower ends (ChooseArmed).
+  std::vector<int> arm_candidates;
+  std::vector<double> arm_window_lo;
   // Fault runs only: the slot array in the reference engine's order (its
   // swap-remove permutation fixes the requeue order of a killed batch),
   // each request's position in it, and scratch for the replay.
@@ -819,23 +769,27 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   // Never consumes the run's final step, which its live event accounts.
   auto catch_up = [&](int i, double t, bool inclusive) {
     const double duration = D.work_duration[i];
-    const StepsBefore done =
-        CountStepsBefore(D.work_started[i], duration, S.d_run_left[i], t, inclusive);
-    const uint64_t left = S.d_run_left[i] - done.count;
-    assert((left > 0 || done.end + duration == S.d_run_end[i]) &&
+    // Arming's cursor, when ahead, skips steps already known to be done.
+    const bool from_cursor = S.d_probe_left[i] < S.d_run_left[i];
+    const uint64_t from_left = from_cursor ? S.d_probe_left[i] : S.d_run_left[i];
+    const StepsBefore after =
+        CountStepsBefore(from_cursor ? S.d_probe_started[i] : D.work_started[i], duration,
+                         from_left, t, inclusive);
+    const uint64_t left = from_left - after.count;
+    const uint64_t count = S.d_run_left[i] - left;
+    assert((left > 0 || after.end + duration == S.d_run_end[i]) &&
            "catch_up disagrees with the coalesced run's final step time");
-    if (done.count == 0) {
+    if (count == 0) {
       return;
     }
     const double batch = static_cast<double>(S.d_active_count[i]);
-    account_steps(i, done.count);
-    S.d_step_count[i] += done.count;
-    D.work_started[i] = done.end;
-    D.busy_time[i] = RepeatAdd(D.busy_time[i], duration, done.count);
-    S.d_batch_time_product[i] =
-        RepeatAdd(S.d_batch_time_product[i], batch * duration, done.count);
+    account_steps(i, count);
+    S.d_step_count[i] += count;
+    D.work_started[i] = after.end;
+    D.busy_time[i] = RepeatAdd(D.busy_time[i], duration, count);
+    S.d_batch_time_product[i] = RepeatAdd(S.d_batch_time_product[i], batch * duration, count);
     S.d_run_left[i] = left;
-    progress_now = std::max(progress_now, done.end);
+    progress_now = std::max(progress_now, after.end);
   };
 
   // Ends instance i's coalesced run at the step in flight at `now`, for an
@@ -879,41 +833,20 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   auto can_admit = [&](int i) {
     return !(D.state[i] & kDraining) && S.d_active_count[i] < max_decode_batch;
   };
-  // The end of the first step of i's run that ends at or after `now`: where
-  // cut_run would put the fresh event.
-  auto next_boundary = [&](int i) {
-    const double duration = D.work_duration[i];
-    const StepsBefore done = CountStepsBefore(S.d_probe_started[i], duration,
-                                              S.d_probe_left[i], now, /*inclusive=*/false);
-    S.d_probe_started[i] = done.end;
-    S.d_probe_left[i] -= done.count;
-    return done.end + duration;
-  };
   auto arm = [&]() {
     armed = -1;
     if (coalesced_count == 0 || decode_queue.empty()) {
       return;
     }
-    double armed_boundary = 0.0;
-    bool boundary_known = false;  // a lone candidate needs no boundary math
+    std::vector<int>& candidates = S.arm_candidates;
+    candidates.clear();
     for_each_coalesced([&](int i) {
-      if (!can_admit(i)) {
-        return;
-      }
-      if (armed < 0) {
-        armed = i;
-        return;
-      }
-      if (!boundary_known) {
-        armed_boundary = next_boundary(armed);
-        boundary_known = true;
-      }
-      double boundary = next_boundary(i);
-      if (boundary < armed_boundary) {  // ascending scan: a tie keeps the lower index
-        armed = i;
-        armed_boundary = boundary;
+      if (can_admit(i)) {
+        candidates.push_back(i);
       }
     });
+    armed = ChooseArmed(candidates, D.work_duration.data(), S.d_probe_started.data(),
+                        S.d_probe_left.data(), now, S.arm_window_lo);
     if (armed >= 0) {
       cut_run(armed);
     }
@@ -1312,13 +1245,16 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     // Arming invariant, after every event: with decode work queued, no
     // coalesced run that could admit it reaches a boundary, by (time,
     // index), before the armed instance's live step ends. Arming cut that
-    // run, so its live event ends the step in flight.
+    // run, so its live event ends the step in flight. The check searches
+    // copies of the cursors, so Debug builds move them as Release does.
     if (coalesced_count > 0 && !decode_queue.empty()) {
       for_each_coalesced([&](int i) {
         if (can_admit(i)) {
           assert(armed >= 0 && "decode work is queued but no run is armed");
           double armed_end = D.work_started[armed] + D.work_duration[armed];
-          double boundary = next_boundary(i);
+          double started = S.d_probe_started[i];
+          uint64_t left = S.d_probe_left[i];
+          double boundary = AdvanceToNextBoundary(started, left, D.work_duration[i], now);
           assert((armed_end < boundary || (armed_end == boundary && armed < i)) &&
                  "a coalesced run reaches a step boundary before the armed instance");
         }

@@ -33,14 +33,29 @@ double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 void SampleSet::Add(double x) {
   samples_.push_back(x);
-  sorted_ = false;
+  ranked_.clear();
 }
 
-void SampleSet::SortIfNeeded() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
+double SampleSet::Rank(size_t k) const {
+  auto next = std::lower_bound(ranked_.begin(), ranked_.end(), k);
+  if (next != ranked_.end() && *next == k) {
+    return samples_[k];
   }
+  // Ranks [lo, hi) sit unordered in samples_[lo, hi).
+  const size_t lo = next == ranked_.begin() ? 0 : *(next - 1) + 1;
+  const size_t hi = next == ranked_.end() ? samples_.size() : *next;
+  auto first = samples_.begin() + static_cast<ptrdiff_t>(lo);
+  auto last = samples_.begin() + static_cast<ptrdiff_t>(hi);
+  auto at = samples_.begin() + static_cast<ptrdiff_t>(k);
+  if (k == lo) {  // the least of the gap: one scan (a quantile's upper neighbour, min)
+    std::iter_swap(at, std::min_element(first, last));
+  } else if (k + 1 == hi) {  // the greatest (max)
+    std::iter_swap(at, std::max_element(first, last));
+  } else {
+    std::nth_element(first, at, last);
+  }
+  ranked_.insert(next, k);
+  return *at;
 }
 
 double SampleSet::mean() const {
@@ -54,33 +69,21 @@ double SampleSet::mean() const {
   return s / static_cast<double>(samples_.size());
 }
 
-double SampleSet::min() const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  SortIfNeeded();
-  return samples_.front();
-}
+double SampleSet::min() const { return samples_.empty() ? 0.0 : Rank(0); }
 
-double SampleSet::max() const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  SortIfNeeded();
-  return samples_.back();
-}
+double SampleSet::max() const { return samples_.empty() ? 0.0 : Rank(samples_.size() - 1); }
 
 double SampleSet::Quantile(double q) const {
   if (samples_.empty()) {
     return 0.0;
   }
-  SortIfNeeded();
   q = std::clamp(q, 0.0, 1.0);
   double pos = q * static_cast<double>(samples_.size() - 1);
   size_t lo = static_cast<size_t>(pos);
   size_t hi = std::min(lo + 1, samples_.size() - 1);
   double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  const double lo_value = Rank(lo);
+  return lo_value * (1.0 - frac) + Rank(hi) * frac;
 }
 
 LatencyHistogram::LatencyHistogram(double hi, size_t bins)

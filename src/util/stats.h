@@ -33,13 +33,20 @@ class RunningStat {
 };
 
 // Stores all samples; supports exact quantiles. Suitable for the sample
-// counts our simulators produce (<= millions).
+// counts our simulators produce (<= millions). Quantiles, min and max select
+// the ranks they need instead of sorting: the first costs about 2n element
+// moves, and each later one partitions only the gap between two ranks
+// already selected, so a report's handful of quantiles costs about as much
+// as the first.
 class SampleSet {
  public:
   void Add(double x);
   void Reserve(size_t n) { samples_.reserve(n); }
 
   size_t count() const { return samples_.size(); }
+  // The sum in storage order over the count: insertion order until the
+  // first min, max or Quantile call, which reorders the samples. No report
+  // reads it.
   double mean() const;
   double min() const;
   double max() const;
@@ -49,13 +56,17 @@ class SampleSet {
   double P95() const { return Quantile(0.95); }
   double P99() const { return Quantile(0.99); }
 
+  // Every sample once, in an unspecified order (see mean()).
   const std::vector<double>& samples() const { return samples_; }
 
  private:
-  void SortIfNeeded() const;
+  // The value of 0-based rank k in ascending order.
+  double Rank(size_t k) const;
 
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
+  // Ranks selected so far, ascending: samples_[r] is the r-th smallest, no
+  // sample before it is greater and none after it is smaller.
+  mutable std::vector<size_t> ranked_;
 };
 
 // Streaming fixed-bin latency accumulator: O(bins) memory no matter how

@@ -661,5 +661,37 @@ TEST(Simulator, ArmingBreaksEqualBoundariesByIndexLikeTheReference) {
   ExpectSameServeMetrics(a, b);
 }
 
+TEST(Simulator, WidePoolArmsOnTiedBoundariesLikeTheReference) {
+  // Thirty-six decode instances at about a third of their capacity: most
+  // sit in coalesced runs, so each prefill landing arms among dozens of
+  // candidates. Binary-fraction times (1/16 s passes, 3/128 s or 5/128 s
+  // steps, arrivals on a 1/16 s grid) put every step boundary in the pool
+  // on one 1/128 s grid, so many candidates tie exactly for the first one:
+  // the bound pass must leave every tied run to the exact search, and the
+  // lowest index must win, as the reference's event order has it.
+  StepTimeTable table = TableOf([](int) { return 1.0 / 16.0; },
+                                [](int batch) { return batch <= 3 ? 3.0 / 128.0 : 5.0 / 128.0; },
+                                4, 8);
+  std::vector<Request> requests;
+  for (int i = 0; i < 640; ++i) {
+    Request r;
+    r.id = i;
+    r.class_id = i % 2;
+    r.arrival_s = 0.0625 * (i - i % 2);  // pairs on alternate grid points
+    r.prompt_tokens = 500;
+    r.output_tokens = 40 + (i * 97) % 600;
+    requests.push_back(r);
+  }
+  ServeClusterConfig config;
+  config.prefill_instances = 2;
+  config.decode_instances = 36;
+  config.horizon_s = 90.0;
+  config.num_classes = 2;
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
+  EXPECT_EQ(a.completed_requests, 640);
+  ExpectSameServeMetrics(a, b);
+}
+
 }  // namespace
 }  // namespace litegpu

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "src/util/format.h"
 #include "src/util/fp_repeat.h"
@@ -121,6 +123,44 @@ TEST(SampleSet, Quantiles) {
   EXPECT_NEAR(s.Quantile(0.95), 95.05, 1e-9);
   EXPECT_DOUBLE_EQ(s.Quantile(0.0), 1.0);
   EXPECT_DOUBLE_EQ(s.Quantile(1.0), 100.0);
+}
+
+// Quantiles, min and max select ranks instead of sorting; each must equal
+// the same formula over a fully sorted copy bit for bit, whatever order the
+// queries come in and however Add calls interleave with them.
+TEST(SampleSet, SelectedQuantilesMatchASortedCopyExactly) {
+  Rng rng(20);
+  for (int round = 0; round < 200; ++round) {
+    SampleSet set;
+    std::vector<double> all;
+    const int adds = 1 + static_cast<int>(rng.NextBelow(round < 150 ? 40 : 3000));
+    const uint64_t distinct = rng.NextBelow(2) == 0 ? 5 : 1000000;  // duplicates or not
+    for (int a = 0; a < adds; ++a) {
+      const double x = static_cast<double>(rng.NextBelow(distinct)) * 0.001;
+      set.Add(x);
+      all.push_back(x);
+      if (rng.NextBelow(a < 40 ? 4 : 256) != 0) {
+        continue;
+      }
+      std::vector<double> sorted = all;
+      std::sort(sorted.begin(), sorted.end());
+      for (int query = 0; query < 6; ++query) {
+        const double q = rng.NextBelow(4) == 0 ? 0.0 : rng.NextDouble();
+        const double pos = q * static_cast<double>(sorted.size() - 1);
+        const size_t lo = static_cast<size_t>(pos);
+        const size_t hi = std::min(lo + 1, sorted.size() - 1);
+        const double frac = pos - static_cast<double>(lo);
+        const double expected = sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+        const double got = set.Quantile(q);
+        EXPECT_EQ(std::memcmp(&got, &expected, sizeof got), 0) << round << " " << q;
+        EXPECT_EQ(set.min(), sorted.front()) << round;
+        EXPECT_EQ(set.max(), sorted.back()) << round;
+      }
+      std::vector<double> kept = set.samples();
+      std::sort(kept.begin(), kept.end());
+      EXPECT_EQ(kept, sorted) << round;  // selection only reorders
+    }
+  }
 }
 
 TEST(SampleSet, QuantileClampsOutOfRange) {

@@ -3,7 +3,7 @@
 
 Usage, from the root of a litegpu source tree:
 
-  python3 tools/lineprof/lineprof.py [--top N] -- <program> [args...]
+  python3 tools/lineprof/lineprof.py [--top N] [--runs N] -- <program> [args...]
 
 e.g. on a Release build with debug info (-O3 -g):
 
@@ -12,9 +12,9 @@ e.g. on a Release build with debug info (-O3 -g):
   python3 tools/lineprof/lineprof.py -- ./build-prof/litegpu run \\
       examples/scenarios/serve.json --json --threads 1
 
-It compiles lineprof.c (a SIGPROF sampler) with `cc`, runs the program once
-under LD_PRELOAD with its standard output discarded, and attributes every
-sample:
+It compiles lineprof.c (a SIGPROF sampler) with `cc`, runs the program
+under LD_PRELOAD with its standard output discarded (--runs times, one
+after another, default once), and attributes every sample of every run:
   - in the program's own executable, to the innermost inline frame that
     addr2line places under a `src/` directory, so a sample inside an
     inlined std::pop_heap lands on the simulator line that called it; a
@@ -24,8 +24,9 @@ gprof cannot do this: it charges all of an inlined body to one symbol.
 
 The sampler asks for a sample per millisecond of CPU time, but the kernel
 delivers at most one per scheduler tick (250 Hz on a CONFIG_HZ=250
-kernel), so profile runs of at least a second. Prints the total sample
-count and the top lines by share. Exits nonzero if
+kernel), so profile at least a second of CPU time in all: a short
+program needs --runs (a 0.2 s run yields about 50 samples). Prints the
+total sample count and the top lines by share. Exits nonzero if
 the program fails or no sample lands on a `src/` line (e.g. a build without
 -g).
 """
@@ -142,11 +143,15 @@ def attribute(exe, dumps):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--top", type=int, default=25, help="lines to print")
+    parser.add_argument("--runs", type=int, default=1,
+                        help="run the program this many times and pool the samples")
     parser.add_argument("command", nargs=argparse.REMAINDER)
     args = parser.parse_args(argv)
     command = args.command[1:] if args.command[:1] == ["--"] else args.command
     if not command:
         parser.error("no program given")
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
     exe = shutil.which(command[0])
     if exe is None:
         parser.error("program not found: %s" % command[0])
@@ -158,17 +163,18 @@ def main(argv=None):
                         os.path.join(HERE, "lineprof.c")], check=True)
         env = dict(os.environ, LD_PRELOAD=sampler,
                    LINEPROF_OUT=os.path.join(tmp, "samples"))
-        status = subprocess.run(command, env=env, stdout=subprocess.DEVNULL).returncode
-        if status != 0:
-            print("lineprof: the program exited with status %d" % status, file=sys.stderr)
-            return 1
+        for _ in range(args.runs):
+            status = subprocess.run(command, env=env, stdout=subprocess.DEVNULL).returncode
+            if status != 0:
+                print("lineprof: the program exited with status %d" % status, file=sys.stderr)
+                return 1
         dumps = [read_dump(os.path.join(tmp, f)) for f in sorted(os.listdir(tmp))
                  if f.startswith("samples.")]
 
     counts, src_samples = attribute(exe, dumps)
     total = sum(counts.values())
-    print("%d samples, %d (%.1f%%) on src/ lines" %
-          (total, src_samples, 100.0 * src_samples / max(1, total)))
+    print("%d samples over %d run(s), %d (%.1f%%) on src/ lines" %
+          (total, args.runs, src_samples, 100.0 * src_samples / max(1, total)))
     for label, n in counts.most_common(args.top):
         print("%7d %6.2f%%  %s" % (n, 100.0 * n / total, label))
     if src_samples == 0:
