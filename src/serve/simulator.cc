@@ -52,17 +52,19 @@
 #include "src/serve/simulator.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/serve/arming.h"
+#include "src/serve/autoscaler.h"
 #include "src/serve/dary_heap.h"
 #include "src/serve/event_queue.h"
 #include "src/util/fp_repeat.h"
@@ -141,6 +143,23 @@ class IndexQueue {
   size_t head_ = 0;
 };
 
+// Calls f(i) for each set bit i of `words`, in ascending order, while
+// more() holds. Each word is read when the scan reaches it, so bits that f
+// sets or clears in a later word are seen, and those in the current word
+// are not. Always inlined: GCC outlined the decode dispatch's copy, and
+// `steady` read about 2% slower in interleaved pairs until it was inlined.
+template <typename More, typename F>
+[[gnu::always_inline]] inline void ForEachSetBit(const std::vector<uint64_t>& words, More more,
+                                                 F f) {
+  for (size_t w = 0; w < words.size() && more(); ++w) {
+    uint64_t bits = words[w];
+    while (bits != 0 && more()) {
+      f(static_cast<int>((w << 6) + static_cast<size_t>(__builtin_ctzll(bits))));
+      bits &= bits - 1;
+    }
+  }
+}
+
 // Packed decode completion: (finish_step << request_bits) | request, with
 // request_bits just wide enough for the run's request indices. finish_step
 // is the instance step count at which the sequence emits its last token;
@@ -162,8 +181,9 @@ struct DecodeSlot {
 // provision (Add), fail, recover through a spare or a repair, degrade,
 // drain and retire. The columns are per instance (SoA): the hot status byte
 // plus parallel cold arrays, indexed by a slot that retirement never frees.
-// The scalars are the pool's per-run state and the rates and limits that
-// Reset resolves once from the fault and autoscaler configs.
+// The scalars are the pool's per-run state and the domain size that Reset
+// resolves once from the fault config; the fault rates and the autoscaler's
+// limits are read where they are used, by FaultScheduler and Autoscaler.
 struct InstancePool {
   std::vector<uint8_t> state;
   // Ready bitmask: bit i set iff instance i can take work (state[i] has
@@ -193,14 +213,8 @@ struct InstancePool {
   int spares_free = 0;
   int pending_ups = 0;
   std::deque<const char*> up_reasons;  // FIFO-matched to up events
-  int domains_scheduled = 0;
-  double prev_tick_busy = 0.0;
-  double failure_rate_per_s = 0.0;
-  double degrade_rate_per_s = 0.0;
+  double prev_tick_busy = 0.0;         // total busy time at the last tick
   int instances_per_domain = 0;
-  double tokens_per_s = 0.0;  // autoscaler's analytic per-instance throughput
-  int min_instances = 0;
-  int max_instances = 0;
 
   size_t size() const { return state.size(); }
   // Serving and not on its way out: counted by the autoscaler and shedding.
@@ -284,24 +298,15 @@ struct InstancePool {
     degrade_mult.clear();
     degrade_since.clear();
     const ServeFaultConfig& faults = config.faults;
-    const ServeAutoscalerConfig& scaler = config.autoscaler;
     blocked = p == ScalePool::kPrefill ? (kBusy | kDraining | kDown | kInactive)
                                        : (kBusy | kDown | kInactive);
     active = PerPool(p, config.prefill_instances, config.decode_instances);
     spares_free = PerPool(p, faults.prefill_spares, faults.decode_spares);
     pending_ups = 0;
     up_reasons.clear();
-    domains_scheduled = 0;
     prev_tick_busy = 0.0;
-    failure_rate_per_s =
-        PerPool(p, faults.prefill_failure_rate_per_s, faults.decode_failure_rate_per_s);
-    degrade_rate_per_s =
-        PerPool(p, faults.degraded.prefill_rate_per_s, faults.degraded.decode_rate_per_s);
     instances_per_domain = PerPool(p, faults.domains.prefill_instances_per_domain,
                                    faults.domains.decode_instances_per_domain);
-    tokens_per_s = PerPool(p, scaler.prefill_tokens_per_s, scaler.decode_tokens_per_s);
-    min_instances = PerPool(p, scaler.min_prefill_instances, scaler.min_decode_instances);
-    max_instances = PerPool(p, scaler.max_prefill_instances, scaler.max_decode_instances);
   }
 };
 
@@ -448,18 +453,330 @@ struct SimScratch {
                          " is not after its step count " + std::to_string(step_count));
 }
 
-SimScratch& TlsScratch() {
+// The calling thread's scratch, reset for a run of `config` on `table`.
+SimScratch& ResetTlsScratch(const ServeClusterConfig& config, const StepTimeTable& table) {
   static thread_local SimScratch scratch;
+  // Seeds the calendar queue's first-window bucket width near the typical
+  // inter-event gap (later windows refit it to the observed rate) — a pure
+  // performance hint, pop order never depends on it. Decode step
+  // completions dominate the event stream; with every instance busy their
+  // spacing is about one step over the pool.
+  const double hint_width = table.DecodeStepTime(table.max_decode_batch()) /
+                            static_cast<double>(std::max(1, config.decode_instances));
+  scratch.Reset(config, table.max_decode_batch(), hint_width);
   return scratch;
 }
 
-ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig& config,
-                           const StepTimeTable& table) {
-  ServeMetrics metrics;
-  if (table.empty() || config.prefill_instances <= 0 || config.decode_instances <= 0) {
-    return metrics;
+// Shapes an empty ServeMetrics for `config`: one slot per class, and armed
+// TTFT histograms when it streams TTFT. Engine runs and shard merges both
+// start here, so a shard and its merge share histogram bins.
+void ShapeMetrics(const ServeClusterConfig& config, ServeMetrics& m) {
+  m.ttft_streamed = config.stream_ttft;
+  if (m.ttft_streamed) {
+    m.ttft_hist = LatencyHistogram(config.ttft_hist_hi_s);
+  }
+  m.per_class.resize(static_cast<size_t>(std::max(0, config.num_classes)));
+  for (ServeClassMetrics& pc : m.per_class) {
+    if (m.ttft_streamed) {
+      pc.ttft_hist = LatencyHistogram(config.ttft_hist_hi_s);
+    }
+  }
+}
+
+// Tokens/s, utilizations and time-weighted mean decode batch of a fixed
+// pool of `config`'s size over [0, makespan_s] (> 0), from the summed
+// aggregates in `m`. A fixed-pool run and a shard merge both end here.
+void SetFixedPoolRatios(const ServeClusterConfig& config, ServeMetrics& m) {
+  m.decode_tokens_per_s = m.output_tokens / m.makespan_s;
+  m.prefill_utilization = m.prefill_busy_s / (config.prefill_instances * m.makespan_s);
+  m.decode_utilization = m.decode_busy_s / (config.decode_instances * m.makespan_s);
+  m.mean_decode_batch =
+      m.decode_busy_s > 0.0 ? m.decode_batch_time_product / m.decode_busy_s : 0.0;
+}
+
+// Fault scheduling: each (pool, slot)'s failure and degrade streams and each
+// failure domain's outage stream (FaultStreams), each pushing its next event
+// while that falls inside the admission horizon. The drain tail past the
+// horizon runs fault-free, which also bounds the event stream.
+struct FaultScheduler {
+  const ServeClusterConfig& config;
+  SimScratch& S;
+  FaultStreams streams;
+  int domains_scheduled[2] = {0, 0};
+
+  void NextFailure(ScalePool p, int slot, double from_t, int epoch) {
+    const ServeFaultConfig& f = config.faults;
+    const double rate = PerPool(p, f.prefill_failure_rate_per_s, f.decode_failure_rate_per_s);
+    if (rate > 0.0) {
+      Push({from_t + streams.NextFailureGap(p, slot, rate),
+            KindOf(ServeEventKind::kPrefillFail, p), slot, epoch});
+    }
+  }
+  // Domain outage streams: one per failure domain, keyed by (seed, pool,
+  // domain). Domains are discovered as the pool grows — domain d covers
+  // instances [d*ipd, (d+1)*ipd) — and each domain's gap sequence depends
+  // only on its id, never on when its first member appeared.
+  void NextDomainFailure(ScalePool p, int domain, double from_t) {
+    const double rate = config.faults.domains.failure_rate_per_s;
+    Push({from_t + streams.NextDomainFailureGap(p, domain, rate),
+          KindOf(ServeEventKind::kPrefillDomainFail, p), domain});
+  }
+  // Degrade streams: per (pool, slot) like failures; a failure clears the
+  // degraded state (epoch bump stales the pending end event) and the
+  // recovery reschedules the slot's stream. The stream yields gap, duration,
+  // gap, duration, ... in event order, so every draw happens at a
+  // deterministic simulated time regardless of thread count.
+  void NextDegrade(ScalePool p, int slot, double from_t, int epoch) {
+    const DegradedStateConfig& d = config.faults.degraded;
+    const double rate = PerPool(p, d.prefill_rate_per_s, d.decode_rate_per_s);
+    if (rate > 0.0) {
+      Push({from_t + streams.NextDegradeGap(p, slot, rate),
+            KindOf(ServeEventKind::kPrefillDegradeStart, p), slot, epoch});
+    }
   }
 
+  // Starts the streams of pool p's newly provisioned `slot`, and of any
+  // domain it opens. As in the reference engine, slots provisioned at the
+  // start draw degrade windows only when the degraded state is enabled
+  // (`degrade`), and scale-ups and recoveries whenever the pool's degrade
+  // rate is positive.
+  void Provision(ScalePool p, int slot, double t, bool degrade) {
+    NextFailure(p, slot, t, 0);
+    const int ipd = S.Pool(p).instances_per_domain;
+    if (config.faults.domains.enabled() && ipd > 0) {
+      int& scheduled = domains_scheduled[static_cast<size_t>(p)];
+      while (scheduled < (static_cast<int>(S.Pool(p).size()) + ipd - 1) / ipd) {
+        NextDomainFailure(p, scheduled++, t);
+      }
+    }
+    if (degrade) {
+      NextDegrade(p, slot, t, 0);
+    }
+  }
+  void Push(const ServeEvent& e) {
+    if (e.time_s <= config.horizon_s) {
+      S.events.Push(e);
+    }
+  }
+};
+
+// One serving run over one request stream: the run's state, one handler per
+// event kind (On...), and the end-of-run integrals (Finish). Per-instance
+// state lives in the calling thread's SimScratch; the engine holds the
+// per-run scalars and references into it. The autoscaler and fault
+// scheduling, whose state nothing else reads, are their own types.
+class ServeEngine {
+ public:
+  ServeEngine(const RequestSoA& requests, const ServeClusterConfig& config,
+               const StepTimeTable& table)
+      : requests(requests), config(config), table(table) {
+    ShapeMetrics(config, metrics);
+    if (config.autoscaler.enabled) {
+      metrics.peak_prefill_instances = P.active;
+      metrics.peak_decode_instances = D.active;
+      events.Push({config.autoscaler.interval_s, ServeEventKind::kAutoscaleTick,
+                   autoscaler.tick_seq++});
+    }
+    if (faults_enabled) {
+      for (ScalePool p : kPools) {
+        for (int i = 0; i < static_cast<int>(S.Pool(p).size()); ++i) {
+          faults.Provision(p, i, 0.0, degrade_enabled);
+        }
+      }
+      S.ttft_recorded.assign(nreq, 0);
+      S.slot_pos.assign(nreq, 0);
+    }
+    if (!stream_ttft) {
+      // Every admitted request records exactly one TTFT sample; reserving
+      // up front spares a million-request run the repeated reallocation
+      // copies.
+      metrics.ttft_s.Reserve(nreq);
+    }
+  }
+
+  // Processes arrivals and events in order until none is left.
+  void Run() {
+    for (;;) {
+#ifndef NDEBUG
+      // Arming invariant, after every event: with decode work queued, no
+      // coalesced run that could admit it reaches a boundary, by (time,
+      // index), before the armed instance's live step ends. Arming cut that
+      // run, so its live event ends the step in flight. The check searches
+      // copies of the cursors, so Debug builds move them as Release does.
+      if (coalesced_count > 0 && !decode_queue.empty()) {
+        for_each_coalesced([&](int i) {
+          if (can_admit(i)) {
+            assert(armed >= 0 && "decode work is queued but no run is armed");
+            double armed_end = D.work_started[armed] + D.work_duration[armed];
+            double started = S.d_probe_started[i];
+            uint64_t left = S.d_probe_left[i];
+            double boundary = AdvanceToNextBoundary(started, left, D.work_duration[i], now);
+            assert((armed_end < boundary || (armed_end == boundary && armed < i)) &&
+                   "a coalesced run reaches a step boundary before the armed instance");
+          }
+        });
+      }
+#endif
+      // First instant both queues are empty after the largest outage: the
+      // check runs at the top of every iteration (after the previous item
+      // fully processed), gated on drain_pending so fault-free runs never
+      // pay it.
+      if (drain_pending && prefill_queue.empty() && decode_queue.empty()) {
+        metrics.time_to_drain_s = now - metrics.largest_outage_time_s;
+        drain_pending = false;
+      }
+      double arrival_t = next_arrival < nreq ? requests.arrival_s[next_arrival]
+                                             : std::numeric_limits<double>::max();
+      double event_t =
+          events.empty() ? std::numeric_limits<double>::max() : events.PeekTime();
+      if (arrival_t == std::numeric_limits<double>::max() &&
+          event_t == std::numeric_limits<double>::max()) {
+        return;
+      }
+      if (arrival_t <= event_t) {
+        OnArrival(arrival_t);
+        continue;
+      }
+      const ServeEvent event = events.Pop();
+      now = event.time_s;
+      // Hot kinds first: completions are the vast majority of a long
+      // horizon's stream, so their dispatch pays at most two compares. The
+      // test order is pure branch economy — each pop matches exactly one
+      // kind, so it cannot affect processing order.
+      if (event.kind == ServeEventKind::kDecodeStepDone) {
+        OnDecodeStepDone(event.instance, event.epoch);
+      } else if (event.kind == ServeEventKind::kPrefillDone) {
+        OnPrefillDone(event.instance, event.epoch);
+      } else if (event.kind == ServeEventKind::kAutoscaleTick) {
+        OnAutoscaleTick();
+      } else {
+        // The instance lifecycle, one handler per (prefill, decode) kind
+        // pair, switched on the pair's prefill kind.
+        const ScalePool p = PoolOf(event.kind);
+        InstancePool& pool = S.Pool(p);
+        switch (static_cast<ServeEventKind>(static_cast<int>(event.kind) - static_cast<int>(p))) {
+          case ServeEventKind::kPrefillFail:
+            OnFail(p, pool, event.instance, event.epoch);
+            break;
+          case ServeEventKind::kPrefillDomainFail:
+            OnDomainFail(p, pool, event.instance);
+            break;
+          case ServeEventKind::kPrefillDegradeStart:
+            OnDegradeStart(p, pool, event.instance, event.epoch);
+            break;
+          case ServeEventKind::kPrefillDegradeEnd:
+            OnDegradeEnd(p, pool, event.instance, event.epoch);
+            break;
+          case ServeEventKind::kPrefillRecover:
+            OnRecover(p, pool, event.instance, event.epoch);
+            break;
+          case ServeEventKind::kPrefillSpareReturn:
+            OnSpareReturn(p, pool, event.instance);
+            break;
+          case ServeEventKind::kPrefillUp:
+            OnUp(p, pool);
+            break;
+          default:
+            assert(false && "unhandled serve event kind");
+        }
+      }
+    }
+  }
+
+  // The end-of-run integrals over [0, makespan]: rates, utilizations,
+  // instance-seconds, fault downtime and degraded time.
+  ServeMetrics Finish() {
+    assert(coalesced_count == 0 && "a coalesced run outlived the event loop");
+    metrics.makespan_s = std::max(metrics.makespan_s, progress_now);
+    metrics.peak_demand_entries = autoscaler.peak_demand_entries;
+    const double makespan = metrics.makespan_s;
+    if (makespan > 0.0) {
+      for (ScalePool p : kPools) {
+        PerPool(p, metrics.prefill_busy_s, metrics.decode_busy_s) = S.Pool(p).TotalBusy();
+      }
+      for (double b : S.d_batch_time_product) {
+        metrics.decode_batch_time_product += b;
+      }
+      SetFixedPoolRatios(config, metrics);
+      // Provisioned instance-seconds over [0, makespan]: each instance
+      // contributes its up..down (or up..end) lifetime, clamped so retires
+      // recorded by trailing decision ticks don't overrun the makespan.
+      // Fault runs fill these even with a fixed pool, so measured
+      // availability has its 1 - downtime / provisioned denominator; the
+      // utilization over them replaces the fixed pool's.
+      for (ScalePool p : kPools) {
+        const InstancePool& pool = S.Pool(p);
+        if (config.autoscaler.enabled || faults_enabled) {
+          double& instance_s =
+              PerPool(p, metrics.prefill_instance_seconds, metrics.decode_instance_seconds);
+          for (size_t i = 0; i < pool.size(); ++i) {
+            double end =
+                pool.down_time[i] >= 0.0 ? std::min(pool.down_time[i], makespan) : makespan;
+            instance_s += std::max(0.0, end - pool.up_time[i]);
+          }
+          const double busy = PerPool(p, metrics.prefill_busy_s, metrics.decode_busy_s);
+          PerPool(p, metrics.prefill_utilization, metrics.decode_utilization) =
+              instance_s > 0.0 ? busy / instance_s : 0.0;
+          PerPool(p, metrics.final_prefill_instances, metrics.final_decode_instances) =
+              pool.active;
+        }
+      }
+      if (faults_enabled) {
+        // Per-pool downtime over [0, makespan], replayed from the event log:
+        // each failure opens an interval its spare-activation/repair closes.
+        // An interval left open by a retired-while-draining instance (no
+        // recovery was scheduled) contributes nothing — the retirement is
+        // already accounted in the instance-seconds integral.
+        std::vector<double> down_since[2] = {std::vector<double>(P.size(), -1.0),
+                                             std::vector<double>(D.size(), -1.0)};
+        for (const FaultEvent& e : metrics.fault_events) {
+          double& since =
+              down_since[static_cast<size_t>(e.pool)][static_cast<size_t>(e.instance)];
+          if (e.kind == FaultEventKind::kFailure) {
+            since = e.time_s;
+          } else if (e.kind == FaultEventKind::kSpareActivation ||
+                     e.kind == FaultEventKind::kRepair) {
+            PerPool(e.pool, metrics.prefill_fault_downtime_s, metrics.decode_fault_downtime_s) +=
+                std::min(e.time_s, makespan) - std::min(since, makespan);
+            since = -1.0;
+          }
+        }
+        for (ScalePool p : kPools) {
+          const std::vector<double>& since = down_since[static_cast<size_t>(p)];
+          for (size_t i = 0; i < since.size(); ++i) {
+            if (since[i] >= 0.0 && !(S.Pool(p).state[i] & kInactive)) {
+              PerPool(p, metrics.prefill_fault_downtime_s, metrics.decode_fault_downtime_s) +=
+                  makespan - std::min(since[i], makespan);
+            }
+          }
+        }
+      }
+    }
+    if (degrade_enabled) {
+      // Close windows still open at the end of the run, clipped to makespan.
+      for (ScalePool p : kPools) {
+        const InstancePool& pool = S.Pool(p);
+        for (size_t i = 0; i < pool.size(); ++i) {
+          if (pool.degrade_since[i] >= 0.0) {
+            PerPool(p, metrics.prefill_degraded_instance_s, metrics.decode_degraded_instance_s) +=
+                std::max(0.0, makespan - pool.degrade_since[i]);
+          }
+        }
+      }
+    }
+    if (drain_pending) {
+      // The queues never emptied again after the largest outage: the drain
+      // took the rest of the run.
+      metrics.time_to_drain_s =
+          std::max(0.0, metrics.makespan_s - metrics.largest_outage_time_s);
+    }
+    return std::move(metrics);
+  }
+
+ private:
+  const RequestSoA& requests;
+  const ServeClusterConfig& config;
+  const StepTimeTable& table;
   const size_t nreq = requests.size();
   const int request_bits = CompletionRequestBits(nreq);
   const uint64_t request_mask = (1ULL << request_bits) - 1;
@@ -472,161 +789,60 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   // The three robustness axes (all dormant by default): correlated failure
   // domains and degraded states ride on the fault engine; shedding guards
   // the admission door and works with or without faults.
-  const FaultDomainConfig& domains = config.faults.domains;
-  const bool domains_enabled = faults_enabled && domains.enabled();
-  const DegradedStateConfig& degraded = config.faults.degraded;
-  const bool degrade_enabled = faults_enabled && degraded.enabled();
+  const bool degrade_enabled = faults_enabled && config.faults.degraded.enabled();
   const SheddingPolicy& shedding = config.shedding;
   const bool shed_enabled = shedding.enabled();
   // Full-batch prefill pass time for the TTFT-deadline estimate.
   const double shed_pass_s = table.PrefillTime(table.max_prefill_batch());
-
-  // Seeds the calendar queue's first-window bucket width near the typical
-  // inter-event gap (later windows refit it to the observed rate) — a pure
-  // performance hint, pop order never depends on it. Decode step
-  // completions dominate the event stream; with every instance busy their
-  // spacing is about one step over the pool.
-  const double hint_width = table.DecodeStepTime(table.max_decode_batch()) /
-                            static_cast<double>(std::max(1, config.decode_instances));
-  SimScratch& S = TlsScratch();
-  S.Reset(config, table.max_decode_batch(), hint_width);
-  InstancePool& P = S.Pool(ScalePool::kPrefill);
-  InstancePool& D = S.Pool(ScalePool::kDecode);
-  CalendarEventQueue& events = S.events;
-  IndexQueue& prefill_queue = S.prefill_queue;
-  IndexQueue& decode_queue = S.decode_queue;
-
-  if (stream_ttft) {
-    metrics.ttft_streamed = true;
-    metrics.ttft_hist = LatencyHistogram(config.ttft_hist_hi_s);
-  }
-
-  // --- autoscaler state (dormant unless cfg.enabled) ---
-  const ServeAutoscalerConfig& scaler = config.autoscaler;
-  int up_seq = 0;    // ordering sequence for simultaneous up events
-  int tick_seq = 0;  // and for ticks
-  double prev_tick_time = 0.0;
-  // Incrementally maintained queued-token totals, read by autoscaler
-  // ticks. Token counts are integers, so the running sums stay exactly
-  // integer-valued in double and equal the reference's per-tick
-  // re-summation bit for bit.
-  const bool track_qsums = scaler.enabled;
-  double queued_prompt_tokens = 0.0;
-  double queued_output_tokens = 0.0;
-  // Admitted demand for the predictive forecast: (time, class, tokens).
-  // Pruned to the forecast window as arrivals stream in (not just at
-  // ticks), so a long horizon holds O(rate * window) entries rather than
-  // every admitted request; the tick-time prune would have discarded the
-  // same entries anyway, so forecasts are unchanged.
-  struct Demand {
-    double t;
-    double prompt_tokens;
-    double output_tokens;
-    int cls;
-  };
-  std::deque<Demand> demand_history;
-  size_t peak_demand_entries = 0;
-  if (scaler.enabled) {
-    metrics.peak_prefill_instances = P.active;
-    metrics.peak_decode_instances = D.active;
-    events.Push({scaler.interval_s, ServeEventKind::kAutoscaleTick, tick_seq++});
-  }
-
-  // --- fault-injection state (dormant unless faults.enabled) ---
-  const ServeFaultConfig& faults = config.faults;
-  std::optional<FaultStreams> fault_streams;
-  auto schedule_next_failure = [&](ScalePool p, int slot, double from_t, int epoch) {
-    const double rate = S.Pool(p).failure_rate_per_s;
-    if (rate <= 0.0) {
-      return;
-    }
-    // Failures are injected over the admission horizon only; the drain
-    // tail past it runs fault-free, which also bounds the event stream.
-    double t = from_t + fault_streams->NextFailureGap(p, slot, rate);
-    if (t <= config.horizon_s) {
-      events.Push({t, KindOf(ServeEventKind::kPrefillFail, p), slot, epoch});
-    }
-  };
-  // Domain outage streams: one per failure domain, keyed by (seed, pool,
-  // domain), injected over the admission horizon like instance failures.
-  // Domains are discovered as the pool grows — domain d covers instances
-  // [d*ipd, (d+1)*ipd) — and each domain's gap sequence depends only on its
-  // id, never on when its first member appeared.
-  auto schedule_next_domain_failure = [&](ScalePool p, int domain, double from_t) {
-    double t = from_t + fault_streams->NextDomainFailureGap(p, domain, domains.failure_rate_per_s);
-    if (t <= config.horizon_s) {
-      events.Push({t, KindOf(ServeEventKind::kPrefillDomainFail, p), domain});
-    }
-  };
-  auto schedule_new_domains = [&](ScalePool p, double from_t) {
-    InstancePool& pool = S.Pool(p);
-    const int ipd = pool.instances_per_domain;
-    if (!domains_enabled || ipd <= 0) {
-      return;
-    }
-    int want = (static_cast<int>(pool.size()) + ipd - 1) / ipd;
-    while (pool.domains_scheduled < want) {
-      schedule_next_domain_failure(p, pool.domains_scheduled++, from_t);
-    }
-  };
-  // Degrade streams: per (pool, slot) like failures; a failure clears the
-  // degraded state (epoch bump stales the pending end event) and the
-  // recovery reschedules the slot's stream.
-  auto schedule_next_degrade = [&](ScalePool p, int slot, double from_t, int epoch) {
-    const double rate = S.Pool(p).degrade_rate_per_s;
-    if (rate <= 0.0) {
-      return;
-    }
-    double t = from_t + fault_streams->NextDegradeGap(p, slot, rate);
-    if (t <= config.horizon_s) {
-      events.Push({t, KindOf(ServeEventKind::kPrefillDegradeStart, p), slot, epoch});
-    }
-  };
-  if (faults_enabled) {
-    fault_streams.emplace(faults.seed);
-    for (ScalePool p : kPools) {
-      for (int i = 0; i < static_cast<int>(S.Pool(p).size()); ++i) {
-        schedule_next_failure(p, i, 0.0, 0);
-      }
-    }
-    for (ScalePool p : kPools) {
-      schedule_new_domains(p, 0.0);
-    }
-    if (degrade_enabled) {
-      for (ScalePool p : kPools) {
-        for (int i = 0; i < static_cast<int>(S.Pool(p).size()); ++i) {
-          schedule_next_degrade(p, i, 0.0, 0);
-        }
-      }
-    }
-    S.ttft_recorded.assign(nreq, 0);
-    S.slot_pos.assign(nreq, 0);
-  }
-
+  const int max_decode_batch = table.max_decode_batch();
   // Per-class bookkeeping only exists when the caller asked for it, so
   // single-class runs pay nothing and stay bit-identical to the pre-class
   // simulator. Out-of-range class ids fold into class 0 rather than
   // indexing out of bounds (the Runner validates them upstream).
   const bool track_classes = config.num_classes > 0;
   const size_t ncls = track_classes ? static_cast<size_t>(config.num_classes) : 0;
-  if (track_classes) {
-    metrics.per_class.resize(ncls);
-    if (stream_ttft) {
-      for (ServeClassMetrics& pc : metrics.per_class) {
-        pc.ttft_hist = LatencyHistogram(config.ttft_hist_hi_s);
-      }
-    }
-  }
-  auto class_of = [&](int req) {
+  // Incrementally maintained queued-token totals, read by autoscaler
+  // ticks. Token counts are integers, so the running sums stay exactly
+  // integer-valued in double and equal the reference's per-tick
+  // re-summation bit for bit.
+  const bool track_qsums = config.autoscaler.enabled;
+
+  // Declared, and so allocated, in this order: the metrics' histograms,
+  // the scratch reset, the demand window, and (in the constructor) the
+  // per-class slots. With the two 128 KB TBT histograms allocated back to
+  // back, glibc trimmed them from the heap top when a run freed them and the
+  // next run faulted them back in: 3x the page faults on many short runs.
+  ServeMetrics metrics;
+  SimScratch& S = ResetTlsScratch(config, table);
+  InstancePool& P = S.Pool(ScalePool::kPrefill);
+  InstancePool& D = S.Pool(ScalePool::kDecode);
+  CalendarEventQueue& events = S.events;
+  IndexQueue& prefill_queue = S.prefill_queue;
+  IndexQueue& decode_queue = S.decode_queue;
+  Autoscaler autoscaler{config.autoscaler};
+  FaultScheduler faults{config, S, FaultStreams(config.faults.seed)};
+
+  size_t next_arrival = 0;
+  double now = 0.0;
+  // Workload progress time: arrivals and completions, NOT autoscaler
+  // ticks/ups — the final makespan must not stretch to a trailing decision
+  // tick that did no work.
+  double progress_now = 0.0;
+  double queued_prompt_tokens = 0.0;
+  double queued_output_tokens = 0.0;
+  // Recovery tracking: the largest single failure group (one independent
+  // failure or one domain outage's members) by discarded tokens; the loop
+  // then watches for the first instant both queues are empty again.
+  bool drain_pending = false;
+  // Coalesced runs (see "decode-step coalescing" below) and the armed one.
+  int coalesced_count = 0;
+  int armed = -1;
+
+  int class_of(int req) const {
     int cid = requests.class_id[static_cast<size_t>(req)];
     return (cid >= 0 && cid < config.num_classes) ? cid : 0;
-  };
-  if (!stream_ttft) {
-    // Every admitted request records exactly one TTFT sample; reserving up
-    // front spares a million-request run the repeated reallocation copies.
-    metrics.ttft_s.Reserve(nreq);
   }
-  auto record_ttft = [&](int req, double value) {
+  void record_ttft(int req, double value) {
     if (stream_ttft) {
       metrics.ttft_hist.Add(value);
     } else {
@@ -640,18 +856,11 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         pc.ttft_s.Add(value);
       }
     }
-  };
-
-  size_t next_arrival = 0;
-  double now = 0.0;
-  // Workload progress time: arrivals and completions, NOT autoscaler
-  // ticks/ups — the final makespan must not stretch to a trailing decision
-  // tick that did no work.
-  double progress_now = 0.0;
+  }
 
   // Close an instance's open throttled window (degrade end, failure, or
   // retirement), banking the degraded instance-seconds.
-  auto close_degrade = [&](ScalePool p, int i) {
+  void close_degrade(ScalePool p, int i) {
     InstancePool& pool = S.Pool(p);
     if (pool.degrade_since[i] >= 0.0) {
       PerPool(p, metrics.prefill_degraded_instance_s, metrics.decode_degraded_instance_s) +=
@@ -659,58 +868,134 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       pool.degrade_since[i] = -1.0;
       pool.degrade_mult[i] = 1.0;
     }
-  };
+  }
 
-  // Recovery tracking: the largest single failure group (one independent
-  // failure or one domain outage's members) by discarded tokens; the loop
-  // then watches for the first instant both queues are empty again.
-  bool drain_pending = false;
-  auto note_outage = [&](double lost) {
+  void note_outage(double lost) {
     if (lost > metrics.largest_outage_lost_tokens) {
       metrics.largest_outage_lost_tokens = lost;
       metrics.largest_outage_time_s = now;
       metrics.time_to_drain_s = -1.0;
       drain_pending = true;
     }
-  };
+  }
 
-  auto try_start_prefill = [&](double t) {
+  // An arrival at t: admitted, or shed by the admission door.
+  void OnArrival(double t) {
+    now = t;
+    progress_now = now;
+    if (now <= config.horizon_s) {
+      // Admission control: a shed request reached the cluster (it counts
+      // as admitted, globally and per class) but never enters the prefill
+      // queue, so admitted = completed + dropped + shed once the run
+      // drains.
+      bool shed = false;
+      ShedReason shed_reason = ShedReason::kQueueDepth;
+      if (shed_enabled) {
+        if (shedding.max_queue_depth > 0 &&
+            static_cast<int>(prefill_queue.size()) >= shedding.max_queue_depth) {
+          shed = true;
+        } else if (shedding.ttft_deadline_s > 0.0) {
+          const int live = P.LiveCount();
+          if (live == 0) {
+            shed = true;
+            shed_reason = ShedReason::kDeadline;
+          } else {
+            double waves = std::ceil((static_cast<double>(prefill_queue.size()) + 1.0) /
+                                     (static_cast<double>(table.max_prefill_batch()) * live));
+            if (waves * shed_pass_s > shedding.ttft_deadline_s) {
+              shed = true;
+              shed_reason = ShedReason::kDeadline;
+            }
+          }
+        }
+      }
+      ++metrics.admitted_requests;
+      if (track_classes) {
+        ++metrics.per_class[static_cast<size_t>(class_of(static_cast<int>(next_arrival)))]
+              .admitted_requests;
+      }
+      if (shed) {
+        ++metrics.shed_requests;
+        metrics.shed_events.push_back({now, static_cast<int>(next_arrival), shed_reason});
+      } else {
+        prefill_queue.push_back(static_cast<int>(next_arrival));
+        if (track_qsums) {
+          queued_prompt_tokens += requests.prompt_tokens[next_arrival];
+        }
+        autoscaler.Admit(now, requests.prompt_tokens[next_arrival],
+                         requests.output_tokens[next_arrival], requests.class_id[next_arrival]);
+      }
+    }
+    ++next_arrival;
+    try_start_prefill(now);
+  }
+
+  void try_start_prefill(double t) {
     // Set bits scan in ascending instance order — the same order the plain
     // index loop dispatched in. Instances with a nonzero status byte have
     // no side effects in that loop, so skipping them is behavior-identical.
-    for (size_t w = 0; w < P.ready.size() && !prefill_queue.empty(); ++w) {
-      uint64_t bits = P.ready[w];
-      while (bits != 0 && !prefill_queue.empty()) {
-        int i = static_cast<int>((w << 6) +
-                                 static_cast<size_t>(__builtin_ctzll(bits)));
-        bits &= bits - 1;
-        int batch = std::min<int>(table.max_prefill_batch(),
-                                  static_cast<int>(prefill_queue.size()));
-        std::vector<int>& slots = S.p_batch[static_cast<size_t>(i)];
-        slots.clear();
-        for (int b = 0; b < batch; ++b) {
-          int req = prefill_queue.front();
-          prefill_queue.pop_front();
-          slots.push_back(req);
-          if (track_qsums) {
-            queued_prompt_tokens -= requests.prompt_tokens[static_cast<size_t>(req)];
-          }
+    ForEachSetBit(P.ready, [&] { return !prefill_queue.empty(); }, [&](int i) {
+      int batch = std::min<int>(table.max_prefill_batch(),
+                                static_cast<int>(prefill_queue.size()));
+      std::vector<int>& slots = S.p_batch[static_cast<size_t>(i)];
+      slots.clear();
+      for (int b = 0; b < batch; ++b) {
+        int req = prefill_queue.front();
+        prefill_queue.pop_front();
+        slots.push_back(req);
+        if (track_qsums) {
+          queued_prompt_tokens -= requests.prompt_tokens[static_cast<size_t>(req)];
         }
-        double duration = table.PrefillTime(batch);
-        if (degrade_enabled) {
-          // Applied on dispatch only: in-flight passes keep the duration
-          // they started with, so busy-time refunds stay exact.
-          duration *= P.degrade_mult[i];
+      }
+      double duration = table.PrefillTime(batch);
+      if (degrade_enabled) {
+        // Applied on dispatch only: in-flight passes keep the duration
+        // they started with, so busy-time refunds stay exact.
+        duration *= P.degrade_mult[i];
+      }
+      P.state[i] |= kBusy;
+      P.SyncReady(i);
+      P.busy_time[i] += duration;
+      P.work_started[i] = t;
+      P.work_duration[i] = duration;
+      events.Push({t + duration, ServeEventKind::kPrefillDone, i, P.epoch[i]});
+    });
+  }
+
+  // A prefill pass done: its requests record TTFT and queue for decode.
+  void OnPrefillDone(int i, int epoch) {
+    if (faults_enabled && epoch != P.epoch[i]) {
+      return;  // the pass was killed by a failure before it finished
+    }
+    progress_now = now;
+    const bool fresh_backlog = decode_queue.empty();
+    std::vector<int>& slots = S.p_batch[static_cast<size_t>(i)];
+    for (int req : slots) {
+      // A retried request's first token was delivered by its first
+      // successful prefill; later re-prefills don't re-record TTFT.
+      if (!faults_enabled || !S.ttft_recorded[static_cast<size_t>(req)]) {
+        record_ttft(req, now - requests.arrival_s[static_cast<size_t>(req)]);
+        if (faults_enabled) {
+          S.ttft_recorded[static_cast<size_t>(req)] = 1;
         }
-        P.state[i] |= kBusy;
-        P.SyncReady(i);
-        P.busy_time[i] += duration;
-        P.work_started[i] = t;
-        P.work_duration[i] = duration;
-        events.Push({t + duration, ServeEventKind::kPrefillDone, i, P.epoch[i]});
+      }
+      decode_queue.push_back(req);
+      if (track_qsums) {
+        queued_output_tokens += requests.output_tokens[static_cast<size_t>(req)];
       }
     }
-  };
+    slots.clear();
+    P.state[i] &= static_cast<uint8_t>(~kBusy);
+    P.SyncReady(i);
+    if (P.state[i] & kDraining) {
+      retire(ScalePool::kPrefill, i, P.drain_reason[i]);
+    }
+    try_start_prefill(now);
+    try_start_decode_step(now, -1);
+    if (fresh_backlog) {
+      arm();  // a no-op unless work is left queued
+    }
+  }
 
   // --- decode-step coalescing ---
   // A step that starts with the decode queue empty cannot see its batch
@@ -724,23 +1009,22 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   // autoscaler tick (which reads busy time). Events that sort before
   // kDecodeStepDone at time T see only the steps ending strictly before T;
   // later kinds see those ending at T too.
-  int coalesced_count = 0;
-  auto is_coalesced = [&](int i) {
+  bool is_coalesced(int i) const {
     return (S.d_coalesced[static_cast<size_t>(i) >> 6] >> (static_cast<unsigned>(i) & 63)) & 1;
-  };
-  auto clear_coalesced = [&](int i) {
+  }
+  void clear_coalesced(int i) {
     S.d_coalesced[static_cast<size_t>(i) >> 6] &= ~(1ull << (static_cast<unsigned>(i) & 63));
     --coalesced_count;
-  };
+  }
 
   // The new step-done event replaces (stales) any pending one.
-  auto push_step_done = [&](int i, double t) {
+  void push_step_done(int i, double t) {
     events.Push({t, ServeEventKind::kDecodeStepDone, i, static_cast<int>(++S.d_step_token[i])});
-  };
+  }
 
   // Token and TBT accounting for k completed steps of instance i's current
   // batch. Token counts are integers, so one b*k add equals k adds of b.
-  auto account_steps = [&](int i, size_t k) {
+  void account_steps(int i, size_t k) {
     const double duration = D.work_duration[i];
     const double tokens = static_cast<double>(S.d_active_count[i]) * static_cast<double>(k);
     metrics.tbt_s.Add(duration, k);
@@ -760,14 +1044,14 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         }
       }
     }
-  };
+  }
 
   // Replays the skipped steps of instance i's coalesced run that end before
   // t (or at t, if `inclusive`): each completes, then the next one starts.
   // Busy time and the batch-time product get exactly the bits their adds,
   // one per step in step order, gave under the per-step events (RepeatAdd).
   // Never consumes the run's final step, which its live event accounts.
-  auto catch_up = [&](int i, double t, bool inclusive) {
+  void catch_up(int i, double t, bool inclusive) {
     const double duration = D.work_duration[i];
     // Arming's cursor, when ahead, skips steps already known to be done.
     const bool from_cursor = S.d_probe_left[i] < S.d_run_left[i];
@@ -790,28 +1074,22 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     S.d_batch_time_product[i] = RepeatAdd(S.d_batch_time_product[i], batch * duration, count);
     S.d_run_left[i] = left;
     progress_now = std::max(progress_now, after.end);
-  };
+  }
 
   // Ends instance i's coalesced run at the step in flight at `now`, for an
   // event that sorts before kDecodeStepDone: a fresh event at that step's
   // end replaces the run's event.
-  auto cut_run = [&](int i) {
+  void cut_run(int i) {
     catch_up(i, now, /*inclusive=*/false);
     clear_coalesced(i);
     if (S.d_run_left[i] > 0) {
       push_step_done(i, D.work_started[i] + D.work_duration[i]);
     }
-  };
-  auto for_each_coalesced = [&](auto&& f) {
-    for (size_t w = 0; w < S.d_coalesced.size(); ++w) {
-      uint64_t bits = S.d_coalesced[w];
-      while (bits != 0) {
-        int i = static_cast<int>((w << 6) + static_cast<size_t>(__builtin_ctzll(bits)));
-        bits &= bits - 1;
-        f(i);
-      }
-    }
-  };
+  }
+  template <typename F>
+  void for_each_coalesced(F f) const {
+    ForEachSetBit(S.d_coalesced, [] { return true; }, f);
+  }
 
   // --- backlog arming ---
   // Queued decode work must be admitted at the first step boundary any
@@ -828,12 +1106,10 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   // coalesced since the last one drained may reach a boundary sooner).
   // Cutting a run never changes a metric, so leaving the rest running is
   // exact.
-  int armed = -1;
-  const int max_decode_batch = table.max_decode_batch();
-  auto can_admit = [&](int i) {
+  bool can_admit(int i) const {
     return !(D.state[i] & kDraining) && S.d_active_count[i] < max_decode_batch;
-  };
-  auto arm = [&]() {
+  }
+  void arm() {
     armed = -1;
     if (coalesced_count == 0 || decode_queue.empty()) {
       return;
@@ -850,9 +1126,9 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     if (armed >= 0) {
       cut_run(armed);
     }
-  };
+  }
 
-  auto try_start_decode_step_at = [&](double t, int i) {
+  void try_start_decode_step_at(double t, int i) {
     DaryMinHeap& heap = S.d_heap[static_cast<size_t>(i)];
     // Admit waiting sequences at the step boundary (draining instances
     // only finish what they already hold).
@@ -914,13 +1190,13 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       ++coalesced_count;
     }
     push_step_done(i, end);
-  };
+  }
 
   // Whether instance i of pool p has work to finish before it can retire:
   // a pass or step in flight, or (decode) sequences in its batch.
-  auto holds_work = [&](ScalePool p, int i) {
+  bool holds_work(ScalePool p, int i) const {
     return (S.Pool(p).state[i] & kBusy) || (p == ScalePool::kDecode && S.d_active_count[i] > 0);
-  };
+  }
 
   // Dispatch invariant: after every event, no ready decode instance holds
   // work — work only enters an instance inside try_start_decode_step_at,
@@ -929,18 +1205,11 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   // decode queue empty, every ready instance but the one whose step just
   // finished (`finished`, or -1) would admit nothing and return on
   // batch == 0: the scan stops there and starts `finished` alone.
-  auto try_start_decode_step = [&](double t, int finished) {
+  void try_start_decode_step(double t, int finished) {
     // Ascending-bit scan = the plain loop's ascending index order; skipped
     // instances (busy, down, or inactive) were pure no-ops there.
-    for (size_t w = 0; w < D.ready.size() && !decode_queue.empty(); ++w) {
-      uint64_t bits = D.ready[w];
-      while (bits != 0 && !decode_queue.empty()) {
-        int i = static_cast<int>((w << 6) +
-                                 static_cast<size_t>(__builtin_ctzll(bits)));
-        bits &= bits - 1;
-        try_start_decode_step_at(t, i);
-      }
-    }
+    ForEachSetBit(D.ready, [&] { return !decode_queue.empty(); },
+                  [&](int i) { try_start_decode_step_at(t, i); });
     // Starting it after the scan instead of at its index is equivalent:
     // with the queue empty it admits nothing, and its step event is
     // ordered by the event queue's full comparator, not by push order.
@@ -953,10 +1222,80 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
              "decode dispatch left a ready instance holding work");
     }
 #endif
-  };
+  }
+
+  // A decode step (or coalesced run) done: its completions leave the batch,
+  // and the instance starts its next step. The hottest handler: inlined
+  // into Run's loop, which GCC otherwise declines at this size.
+  [[gnu::always_inline]] void OnDecodeStepDone(int i, int token) {
+    if (static_cast<uint32_t>(token) != S.d_step_token[i]) {
+      return;  // the step was cut or killed before it finished
+    }
+    progress_now = now;
+    if (is_coalesced(i)) {
+      catch_up(i, now, /*inclusive=*/true);
+      assert(S.d_run_left[i] == 0 && "a coalesced run ended with skipped steps unreplayed");
+      clear_coalesced(i);
+    }
+    D.state[i] &= static_cast<uint8_t>(~kBusy);
+    D.SyncReady(i);
+    account_steps(i, 1);
+    // Sequences whose remaining count just hit zero are exactly the
+    // completion-heap entries at the new step count.
+    uint64_t done_step = ++S.d_step_count[i];
+    DaryMinHeap& heap = S.d_heap[static_cast<size_t>(i)];
+    while (!heap.empty() && (heap.front() >> request_bits) == done_step) {
+      int req = static_cast<int>(heap.pop() & request_mask);
+      ++metrics.completed_requests;
+      if (track_slots) {
+        S.finished_pos.push_back(S.slot_pos[static_cast<size_t>(req)]);
+      }
+      if (track_classes) {
+        size_t cls = static_cast<size_t>(class_of(req));
+        ++metrics.per_class[cls].completed_requests;
+        --S.class_active[static_cast<size_t>(i) * ncls + cls];
+        if (now > config.horizon_s) {
+          ++metrics.per_class[cls].in_flight_at_horizon;
+        }
+      }
+      if (now > config.horizon_s) {
+        // Admitted before the horizon, finished after it: the request
+        // drains but its tail tokens are not horizon goodput.
+        ++metrics.in_flight_at_horizon;
+      }
+      metrics.makespan_s = now;
+      --S.d_active_count[i];
+    }
+    if (!S.finished_pos.empty()) {
+      // Slot-order replay of the reference's single ascending pass, in
+      // which every finished slot takes the back slot and is re-checked:
+      // visiting the finished positions in ascending order and popping
+      // finished backs into them leaves the same permutation.
+      std::vector<DecodeSlot>& slots = S.d_slots[static_cast<size_t>(i)];
+      std::sort(S.finished_pos.begin(), S.finished_pos.end());
+      for (int p : S.finished_pos) {
+        size_t pos = static_cast<size_t>(p);
+        while (pos < slots.size() && slots[pos].finish_step == done_step) {
+          slots[pos] = slots.back();
+          slots.pop_back();
+          if (pos < slots.size()) {
+            S.slot_pos[static_cast<size_t>(slots[pos].request)] = p;
+          }
+        }
+      }
+      S.finished_pos.clear();
+    }
+    if ((D.state[i] & kDraining) && S.d_active_count[i] == 0) {
+      retire(ScalePool::kDecode, i, D.drain_reason[i]);
+    }
+    try_start_decode_step(now, i);
+    if (i == armed) {
+      arm();  // work still queued passes to the next run to reach a boundary
+    }
+  }
 
   // --- autoscaler actions ---
-  auto retire = [&](ScalePool p, int i, const char* reason) {
+  void retire(ScalePool p, int i, const char* reason) {
     InstancePool& pool = S.Pool(p);
     if (degrade_enabled) {
       close_degrade(p, i);
@@ -966,10 +1305,10 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     pool.down_time[i] = now;
     --pool.active;
     metrics.scale_events.push_back({now, p, -1, pool.active, reason});
-  };
+  }
   // Pick the highest-index live instance: the most recently provisioned
   // capacity leaves first, keeping the initial pool stable.
-  auto drain_one = [&](ScalePool p, const char* reason) {
+  void drain_one(ScalePool p, const char* reason) {
     InstancePool& pool = S.Pool(p);
     for (int i = static_cast<int>(pool.size()) - 1; i >= 0; --i) {
       if (pool.Live(i)) {
@@ -983,17 +1322,80 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         return;
       }
     }
-  };
+  }
+
+  // One autoscaler tick: the Autoscaler decides each pool from what the
+  // engine measures here, prefill first, and the engine applies each
+  // decision before measuring the next pool.
+  void OnAutoscaleTick() {
+    // The tick reads busy time, which includes the step started at a
+    // boundary at `now`: replay every coalesced run up to and including it.
+    for_each_coalesced([&](int i) { catch_up(i, now, /*inclusive=*/true); });
+    const std::array<double, 2> forecast = autoscaler.Forecast(now, config.num_classes);
+    for (ScalePool p : kPools) {
+      InstancePool& pool = S.Pool(p);
+      const double busy = pool.TotalBusy();
+      // Down (failed) instances are not live: the autoscaler sees the
+      // reduced pool and can provision replacements while repairs run.
+      const ScaleDecision d = Autoscaler::Decide(
+          config.autoscaler, p,
+          {pool.LiveCount(), pool.pending_ups, busy - pool.prev_tick_busy,
+           now - autoscaler.prev_tick_time, PerPool(p, queued_prompt_tokens, queued_output_tokens),
+           forecast[static_cast<size_t>(p)]});
+      pool.prev_tick_busy = busy;
+      for (const char* reason : d.up_reasons) {
+        events.Push({now + config.autoscaler.delay_s, KindOf(ServeEventKind::kPrefillUp, p),
+                     autoscaler.up_seq++});
+        pool.up_reasons.push_back(reason);
+        ++pool.pending_ups;
+      }
+      if (d.drain_reason != nullptr) {
+        drain_one(p, d.drain_reason);
+      }
+    }
+    autoscaler.prev_tick_time = now;
+
+    // Keep ticking only while there is anything left to manage; otherwise
+    // the tick stream would keep the event loop alive forever (the default
+    // horizon is effectively infinite).
+    bool work_left = next_arrival < nreq || !prefill_queue.empty() ||
+                     !decode_queue.empty() || P.pending_ups > 0 || D.pending_ups > 0;
+    for (ScalePool p : kPools) {
+      for (size_t i = 0; i < S.Pool(p).size() && !work_left; ++i) {
+        work_left = holds_work(p, static_cast<int>(i));
+      }
+    }
+    if (work_left) {
+      events.Push({now + config.autoscaler.interval_s, ServeEventKind::kAutoscaleTick,
+                   autoscaler.tick_seq++});
+    }
+  }
+
+  // A provisioned instance of pool p comes up and takes work.
+  void OnUp(ScalePool p, InstancePool& pool) {
+    S.Add(p, now, config.num_classes);
+    --pool.pending_ups;
+    ++pool.active;
+    int& peak = PerPool(p, metrics.peak_prefill_instances, metrics.peak_decode_instances);
+    peak = std::max(peak, pool.active);
+    const char* reason = pool.up_reasons.front();
+    pool.up_reasons.pop_front();
+    metrics.scale_events.push_back({now, p, +1, pool.active, reason});
+    if (faults_enabled) {
+      faults.Provision(p, static_cast<int>(pool.size()) - 1, now, /*degrade=*/true);
+    }
+    p == ScalePool::kPrefill ? try_start_prefill(now) : try_start_decode_step(now, -1);
+  }
 
   // --- fault actions ---
   // What happens to a request whose instance died under it.
-  auto requeue_or_drop = [&](int req) {
-    bool retry = faults.retry_policy == FaultRetryPolicy::kRetry;
-    if (faults.retry_policy == FaultRetryPolicy::kRetryWithBudget) {
+  void requeue_or_drop(int req) {
+    bool retry = config.faults.retry_policy == FaultRetryPolicy::kRetry;
+    if (config.faults.retry_policy == FaultRetryPolicy::kRetryWithBudget) {
       if (S.retry_counts.empty()) {
         S.retry_counts.assign(nreq, 0);
       }
-      retry = S.retry_counts[static_cast<size_t>(req)] < faults.retry_budget;
+      retry = S.retry_counts[static_cast<size_t>(req)] < config.faults.retry_budget;
       if (retry) {
         ++S.retry_counts[static_cast<size_t>(req)];
       }
@@ -1008,10 +1410,10 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     } else {
       ++metrics.dropped_requests;
     }
-  };
+  }
   // The victims of a failure, requeued or dropped; each returns the tokens
   // of work they lose. A prefill pass loses its prompts.
-  auto kill_prefill_pass = [&](int i) {
+  double kill_prefill_pass(int i) {
     double lost = 0.0;
     std::vector<int>& slots = S.p_batch[static_cast<size_t>(i)];
     for (int req : slots) {
@@ -1020,9 +1422,9 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     }
     slots.clear();
     return lost;
-  };
+  }
   // A decode batch loses the tokens generated so far, in slot order.
-  auto kill_decode_batch = [&](int i) {
+  double kill_decode_batch(int i) {
     double lost = 0.0;
     std::vector<DecodeSlot>& slots = S.d_slots[static_cast<size_t>(i)];
     for (const DecodeSlot& slot : slots) {
@@ -1046,7 +1448,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       std::fill_n(&S.class_active[static_cast<size_t>(i) * ncls], ncls, 0);
     }
     return lost;
-  };
+  }
 
   // An instance failure kills its in-flight work (refunding the busy time
   // the unfinished pass/step had claimed up front), requeues or drops the
@@ -1056,8 +1458,9 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   // simply retires — the autoscaler wanted it gone anyway. domain >= 0
   // marks a member of a correlated domain outage: it bypasses hot spares
   // (a rack outage is not maskable by a spare device) and waits out the
-  // domain repair instead of the instance repair.
-  auto fail = [&](ScalePool p, int i, int domain) {
+  // domain repair instead of the instance repair. Returns the tokens of
+  // work lost.
+  double fail(ScalePool p, int i, int domain) {
     InstancePool& pool = S.Pool(p);
     const bool decode = p == ScalePool::kDecode;
     if (decode) {
@@ -1093,616 +1496,142 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       metrics.fault_events.push_back(
           {now, FaultEventKind::kFailure, p, i, killed, lost, pool.spares_free, domain});
       retire(p, i, pool.drain_reason[i]);
-      return;
+      return lost;
     }
     pool.state[i] |= kDown;
     pool.SyncReady(i);
     pool.via_spare[i] = 0;
-    double delay = faults.repair_s;
+    double delay = config.faults.repair_s;
     if (domain >= 0) {
-      delay = domains.repair_s;
+      delay = config.faults.domains.repair_s;
     } else if (pool.spares_free > 0) {
       --pool.spares_free;
       pool.via_spare[i] = 1;
-      delay = faults.spare_activation_s;
-      events.Push({now + faults.repair_s, KindOf(ServeEventKind::kPrefillSpareReturn, p), i});
+      delay = config.faults.spare_activation_s;
+      events.Push(
+          {now + config.faults.repair_s, KindOf(ServeEventKind::kPrefillSpareReturn, p), i});
     }
     metrics.fault_events.push_back(
         {now, FaultEventKind::kFailure, p, i, killed, lost, pool.spares_free, domain});
     events.Push({now + delay, KindOf(ServeEventKind::kPrefillRecover, p), i, pool.epoch[i]});
-  };
-
-  // Hands work to pool p's ready instances.
-  auto dispatch = [&](ScalePool p) {
-    if (p == ScalePool::kPrefill) {
-      try_start_prefill(now);
-    } else {
-      try_start_decode_step(now, -1);
-    }
-  };
-
-  // One autoscaler decision: reactive thresholds on backlog/utilization, or
-  // a per-class demand forecast (predictive) with the backlog trigger kept
-  // as a safety net. Applied per pool, at most one scale-down per tick.
-  auto autoscale_tick = [&]() {
-    // The tick reads busy time, which includes the step started at a
-    // boundary at `now`: replay every coalesced run up to and including it.
-    for_each_coalesced([&](int i) { catch_up(i, now, /*inclusive=*/true); });
-    double window = now - prev_tick_time;
-
-    // Predictive forecast: per-class token demand over two half-windows,
-    // linearly extrapolated half a window ahead, clamped at zero per class
-    // so one collapsing class does not mask another's growth.
-    double forecast_prompt_rate = 0.0;
-    double forecast_output_rate = 0.0;
-    if (scaler.predictive) {
-      double half = scaler.forecast_window_s / 2.0;
-      while (!demand_history.empty() &&
-             demand_history.front().t < now - scaler.forecast_window_s) {
-        demand_history.pop_front();
-      }
-      size_t fcls = static_cast<size_t>(std::max(1, config.num_classes));
-      std::vector<double> recent_prompt(fcls, 0.0), old_prompt(fcls, 0.0);
-      std::vector<double> recent_output(fcls, 0.0), old_output(fcls, 0.0);
-      for (const Demand& d : demand_history) {
-        size_t c = (d.cls >= 0 && d.cls < static_cast<int>(fcls))
-                       ? static_cast<size_t>(d.cls)
-                       : 0;
-        if (d.t >= now - half) {
-          recent_prompt[c] += d.prompt_tokens;
-          recent_output[c] += d.output_tokens;
-        } else {
-          old_prompt[c] += d.prompt_tokens;
-          old_output[c] += d.output_tokens;
-        }
-      }
-      for (size_t c = 0; c < fcls; ++c) {
-        forecast_prompt_rate += std::max(0.0, 2.0 * recent_prompt[c] - old_prompt[c]) / half;
-        forecast_output_rate += std::max(0.0, 2.0 * recent_output[c] - old_output[c]) / half;
-      }
-    }
-
-    auto plan_pool = [&](ScalePool p) {
-      InstancePool& pool = S.Pool(p);
-      // Down (failed) instances are not live: the autoscaler sees the
-      // reduced pool and can provision replacements while repairs run.
-      const int n = pool.LiveCount();
-      const double busy = pool.TotalBusy();
-      double busy_delta = busy - pool.prev_tick_busy;
-      pool.prev_tick_busy = busy;
-      const double per_instance = pool.tokens_per_s;
-      const double queued_tokens = PerPool(p, queued_prompt_tokens, queued_output_tokens);
-      double utilization = (window > 0.0 && n > 0) ? busy_delta / (n * window) : 0.0;
-      double backlog_s =
-          per_instance > 0.0 ? queued_tokens / (std::max(1, n) * per_instance) : 0.0;
-      int target = n + pool.pending_ups;
-
-      auto schedule_up = [&](const char* reason) {
-        events.Push({now + scaler.delay_s, KindOf(ServeEventKind::kPrefillUp, p), up_seq++});
-        pool.up_reasons.push_back(reason);
-        ++pool.pending_ups;
-        ++target;
-      };
-
-      if (scaler.predictive) {
-        double forecast_rate = PerPool(p, forecast_prompt_rate, forecast_output_rate);
-        int desired = n;
-        if (per_instance > 0.0) {
-          desired = static_cast<int>(std::ceil(scaler.headroom * forecast_rate / per_instance));
-        }
-        desired = std::min(std::max(desired, pool.min_instances), pool.max_instances);
-        while (target < desired) {
-          schedule_up("forecast");
-        }
-        if (backlog_s > scaler.scale_up_backlog_s && target < pool.max_instances) {
-          schedule_up("backlog");  // reactive safety net under forecast misses
-        }
-        if (pool.pending_ups == 0 && target > desired && queued_tokens <= 0.0 &&
-            target > pool.min_instances) {
-          drain_one(p, "forecast");
-        }
-        return;
-      }
-
-      const char* up_reason = nullptr;
-      if (backlog_s > scaler.scale_up_backlog_s) {
-        up_reason = "backlog";
-      } else if (utilization > scaler.scale_up_utilization) {
-        up_reason = "utilization";
-      }
-      if (up_reason != nullptr) {
-        if (target < pool.max_instances) {
-          schedule_up(up_reason);
-        }
-      } else if (pool.pending_ups == 0 && target > pool.min_instances &&
-                 utilization < scaler.scale_down_utilization && queued_tokens <= 0.0) {
-        drain_one(p, "utilization");
-      }
-    };
-    for (ScalePool p : kPools) {
-      plan_pool(p);
-    }
-
-    prev_tick_time = now;
-
-    // Keep ticking only while there is anything left to manage; otherwise
-    // the tick stream would keep the event loop alive forever (the default
-    // horizon is effectively infinite).
-    bool work_left = next_arrival < nreq || !prefill_queue.empty() ||
-                     !decode_queue.empty() || P.pending_ups > 0 || D.pending_ups > 0;
-    for (ScalePool p : kPools) {
-      for (size_t i = 0; i < S.Pool(p).size() && !work_left; ++i) {
-        work_left = holds_work(p, static_cast<int>(i));
-      }
-    }
-    if (work_left) {
-      events.Push({now + scaler.interval_s, ServeEventKind::kAutoscaleTick, tick_seq++});
-    }
-  };
-
-  for (;;) {
-#ifndef NDEBUG
-    // Arming invariant, after every event: with decode work queued, no
-    // coalesced run that could admit it reaches a boundary, by (time,
-    // index), before the armed instance's live step ends. Arming cut that
-    // run, so its live event ends the step in flight. The check searches
-    // copies of the cursors, so Debug builds move them as Release does.
-    if (coalesced_count > 0 && !decode_queue.empty()) {
-      for_each_coalesced([&](int i) {
-        if (can_admit(i)) {
-          assert(armed >= 0 && "decode work is queued but no run is armed");
-          double armed_end = D.work_started[armed] + D.work_duration[armed];
-          double started = S.d_probe_started[i];
-          uint64_t left = S.d_probe_left[i];
-          double boundary = AdvanceToNextBoundary(started, left, D.work_duration[i], now);
-          assert((armed_end < boundary || (armed_end == boundary && armed < i)) &&
-                 "a coalesced run reaches a step boundary before the armed instance");
-        }
-      });
-    }
-#endif
-    // First instant both queues are empty after the largest outage: the
-    // check runs at the top of every iteration (after the previous item
-    // fully processed), gated on drain_pending so fault-free runs never
-    // pay it.
-    if (drain_pending && prefill_queue.empty() && decode_queue.empty()) {
-      metrics.time_to_drain_s = now - metrics.largest_outage_time_s;
-      drain_pending = false;
-    }
-    double arrival_t = next_arrival < nreq ? requests.arrival_s[next_arrival]
-                                           : std::numeric_limits<double>::max();
-    double event_t =
-        events.empty() ? std::numeric_limits<double>::max() : events.PeekTime();
-    if (arrival_t == std::numeric_limits<double>::max() &&
-        event_t == std::numeric_limits<double>::max()) {
-      break;
-    }
-
-    if (arrival_t <= event_t) {
-      now = arrival_t;
-      progress_now = now;
-      if (now <= config.horizon_s) {
-        // Admission control: a shed request reached the cluster (it counts
-        // as admitted, globally and per class) but never enters the
-        // prefill queue, so admitted = completed + dropped + shed once the
-        // run drains.
-        bool shed = false;
-        ShedReason shed_reason = ShedReason::kQueueDepth;
-        if (shed_enabled) {
-          if (shedding.max_queue_depth > 0 &&
-              static_cast<int>(prefill_queue.size()) >= shedding.max_queue_depth) {
-            shed = true;
-          } else if (shedding.ttft_deadline_s > 0.0) {
-            const int live = P.LiveCount();
-            if (live == 0) {
-              shed = true;
-              shed_reason = ShedReason::kDeadline;
-            } else {
-              double waves = std::ceil(
-                  (static_cast<double>(prefill_queue.size()) + 1.0) /
-                  (static_cast<double>(table.max_prefill_batch()) * live));
-              if (waves * shed_pass_s > shedding.ttft_deadline_s) {
-                shed = true;
-                shed_reason = ShedReason::kDeadline;
-              }
-            }
-          }
-        }
-        ++metrics.admitted_requests;
-        if (track_classes) {
-          ++metrics.per_class[static_cast<size_t>(class_of(static_cast<int>(next_arrival)))]
-                .admitted_requests;
-        }
-        if (shed) {
-          ++metrics.shed_requests;
-          metrics.shed_events.push_back(
-              {now, static_cast<int>(next_arrival), shed_reason});
-        } else {
-          prefill_queue.push_back(static_cast<int>(next_arrival));
-          if (track_qsums) {
-            queued_prompt_tokens += requests.prompt_tokens[next_arrival];
-          }
-          if (scaler.enabled && scaler.predictive) {
-            while (!demand_history.empty() &&
-                   demand_history.front().t < now - scaler.forecast_window_s) {
-              demand_history.pop_front();
-            }
-            demand_history.push_back(
-                {now, static_cast<double>(requests.prompt_tokens[next_arrival]),
-                 static_cast<double>(requests.output_tokens[next_arrival]),
-                 requests.class_id[next_arrival]});
-            peak_demand_entries = std::max(peak_demand_entries, demand_history.size());
-          }
-        }
-      }
-      ++next_arrival;
-      try_start_prefill(now);
-      continue;
-    }
-
-    ServeEvent event = events.Pop();
-    now = event.time_s;
-
-    // Hot kinds first: completions are the vast majority of a long
-    // horizon's stream, so their dispatch pays at most two compares. The
-    // test order is pure branch economy — each pop matches exactly one
-    // kind, so it cannot affect processing order.
-    if (event.kind == ServeEventKind::kDecodeStepDone) {
-      int i = event.instance;
-      if (static_cast<uint32_t>(event.epoch) != S.d_step_token[i]) {
-        continue;  // the step was cut or killed before it finished
-      }
-      progress_now = now;
-      if (is_coalesced(i)) {
-        catch_up(i, now, /*inclusive=*/true);
-        assert(S.d_run_left[i] == 0 && "a coalesced run ended with skipped steps unreplayed");
-        clear_coalesced(i);
-      }
-      D.state[i] &= static_cast<uint8_t>(~kBusy);
-      D.SyncReady(i);
-      account_steps(i, 1);
-      // Sequences whose remaining count just hit zero are exactly the
-      // completion-heap entries at the new step count.
-      uint64_t done_step = ++S.d_step_count[i];
-      DaryMinHeap& heap = S.d_heap[static_cast<size_t>(i)];
-      while (!heap.empty() && (heap.front() >> request_bits) == done_step) {
-        int req = static_cast<int>(heap.pop() & request_mask);
-        ++metrics.completed_requests;
-        if (track_slots) {
-          S.finished_pos.push_back(S.slot_pos[static_cast<size_t>(req)]);
-        }
-        if (track_classes) {
-          size_t cls = static_cast<size_t>(class_of(req));
-          ++metrics.per_class[cls].completed_requests;
-          --S.class_active[static_cast<size_t>(i) * ncls + cls];
-          if (now > config.horizon_s) {
-            ++metrics.per_class[cls].in_flight_at_horizon;
-          }
-        }
-        if (now > config.horizon_s) {
-          // Admitted before the horizon, finished after it: the request
-          // drains but its tail tokens are not horizon goodput.
-          ++metrics.in_flight_at_horizon;
-        }
-        metrics.makespan_s = now;
-        --S.d_active_count[i];
-      }
-      if (!S.finished_pos.empty()) {
-        // Slot-order replay of the reference's single ascending pass, in
-        // which every finished slot takes the back slot and is re-checked:
-        // visiting the finished positions in ascending order and popping
-        // finished backs into them leaves the same permutation.
-        std::vector<DecodeSlot>& slots = S.d_slots[static_cast<size_t>(i)];
-        std::sort(S.finished_pos.begin(), S.finished_pos.end());
-        for (int p : S.finished_pos) {
-          size_t pos = static_cast<size_t>(p);
-          while (pos < slots.size() && slots[pos].finish_step == done_step) {
-            slots[pos] = slots.back();
-            slots.pop_back();
-            if (pos < slots.size()) {
-              S.slot_pos[static_cast<size_t>(slots[pos].request)] = p;
-            }
-          }
-        }
-        S.finished_pos.clear();
-      }
-      if ((D.state[i] & kDraining) && S.d_active_count[i] == 0) {
-        retire(ScalePool::kDecode, i, D.drain_reason[i]);
-      }
-      try_start_decode_step(now, i);
-      if (i == armed) {
-        arm();  // work still queued passes to the next run to reach a boundary
-      }
-      continue;
-    }
-    if (event.kind == ServeEventKind::kPrefillDone) {
-      int i = event.instance;
-      if (faults_enabled && event.epoch != P.epoch[i]) {
-        continue;  // the pass was killed by a failure before it finished
-      }
-      progress_now = now;
-      const bool fresh_backlog = decode_queue.empty();
-      std::vector<int>& slots = S.p_batch[static_cast<size_t>(i)];
-      for (int req : slots) {
-        // A retried request's first token was delivered by its first
-        // successful prefill; later re-prefills don't re-record TTFT.
-        if (!faults_enabled || !S.ttft_recorded[static_cast<size_t>(req)]) {
-          record_ttft(req, now - requests.arrival_s[static_cast<size_t>(req)]);
-          if (faults_enabled) {
-            S.ttft_recorded[static_cast<size_t>(req)] = 1;
-          }
-        }
-        decode_queue.push_back(req);
-        if (track_qsums) {
-          queued_output_tokens += requests.output_tokens[static_cast<size_t>(req)];
-        }
-      }
-      slots.clear();
-      P.state[i] &= static_cast<uint8_t>(~kBusy);
-      P.SyncReady(i);
-      if (P.state[i] & kDraining) {
-        retire(ScalePool::kPrefill, i, P.drain_reason[i]);
-      }
-      try_start_prefill(now);
-      try_start_decode_step(now, -1);
-      if (fresh_backlog) {
-        arm();  // a no-op unless work is left queued
-      }
-      continue;
-    }
-
-    if (event.kind == ServeEventKind::kAutoscaleTick) {
-      autoscale_tick();
-      continue;
-    }
-
-    // The instance lifecycle, one handler per pair of (prefill, decode)
-    // kinds.
-    const ScalePool p = PoolOf(event.kind);
-    InstancePool& pool = S.Pool(p);
-    const int i = event.instance;
-    switch (event.kind) {
-      case ServeEventKind::kPrefillFail:
-      case ServeEventKind::kDecodeFail:
-        if (pool.Current(i, event.epoch)) {
-          double lost_before = metrics.lost_tokens;
-          fail(p, i, /*domain=*/-1);
-          note_outage(metrics.lost_tokens - lost_before);
-          // Retried victims queue for prefill; surviving instances pick
-          // them up immediately.
-          try_start_prefill(now);
-        }
-        break;
-      case ServeEventKind::kPrefillDomainFail:
-      case ServeEventKind::kDecodeDomainFail: {
-        // One domain outage downs every live member at this timestamp, in
-        // ascending instance order; the whole group is one outage for the
-        // blast-radius / drain accounting. The event's instance is the
-        // domain.
-        const int lo = i * pool.instances_per_domain;
-        const int hi = std::min(static_cast<int>(pool.size()), lo + pool.instances_per_domain);
-        double lost_before = metrics.lost_tokens;
-        for (int m = lo; m < hi; ++m) {
-          if (!(pool.state[m] & (kInactive | kDown))) {  // else nothing left to kill
-            fail(p, m, i);
-          }
-        }
-        note_outage(metrics.lost_tokens - lost_before);
-        schedule_next_domain_failure(p, i, now);
-        try_start_prefill(now);
-        break;
-      }
-      case ServeEventKind::kPrefillDegradeStart:
-      case ServeEventKind::kDecodeDegradeStart: {
-        if (!pool.Current(i, event.epoch)) {
-          break;
-        }
-        if (p == ScalePool::kDecode && is_coalesced(i)) {
-          cut_run(i);  // the next step dispatches at the new multiplier
-        }
-        // The slot's stream yields gap, duration, gap, duration, ... in
-        // event order; failures stale pending windows via the epoch (the
-        // recovery reschedules the stream), so every draw happens at a
-        // deterministic simulated time regardless of thread count.
-        double duration = fault_streams->NextDegradeDuration(p, i, degraded.mean_duration_s);
-        pool.degrade_mult[i] = degraded.multiplier;
-        pool.degrade_since[i] = now;
-        ++metrics.degrade_windows;
-        metrics.fault_events.push_back(
-            {now, FaultEventKind::kDegradeStart, p, i, 0, 0.0, pool.spares_free});
-        events.Push({now + duration, KindOf(ServeEventKind::kPrefillDegradeEnd, p), i,
-                     event.epoch});
-        break;
-      }
-      case ServeEventKind::kPrefillDegradeEnd:
-      case ServeEventKind::kDecodeDegradeEnd:
-        if (!pool.Current(i, event.epoch)) {
-          break;  // a failure already cleared the window
-        }
-        if (p == ScalePool::kDecode && is_coalesced(i)) {
-          cut_run(i);
-        }
-        close_degrade(p, i);
-        metrics.fault_events.push_back(
-            {now, FaultEventKind::kDegradeEnd, p, i, 0, 0.0, pool.spares_free});
-        schedule_next_degrade(p, i, now, event.epoch);
-        break;
-      case ServeEventKind::kPrefillRecover:
-      case ServeEventKind::kDecodeRecover:
-        if (!pool.Current(i, event.epoch)) {
-          break;  // retired while down
-        }
-        pool.state[i] &= static_cast<uint8_t>(~kDown);
-        pool.SyncReady(i);
-        metrics.fault_events.push_back(
-            {now, pool.via_spare[i] ? FaultEventKind::kSpareActivation : FaultEventKind::kRepair,
-             p, i, 0, 0.0, pool.spares_free});
-        schedule_next_failure(p, i, now, pool.epoch[i]);
-        schedule_next_degrade(p, i, now, pool.epoch[i]);
-        dispatch(p);
-        break;
-      case ServeEventKind::kPrefillSpareReturn:
-      case ServeEventKind::kDecodeSpareReturn:
-        ++pool.spares_free;
-        metrics.fault_events.push_back(
-            {now, FaultEventKind::kSpareReturn, p, i, 0, 0.0, pool.spares_free});
-        break;
-      case ServeEventKind::kPrefillUp:
-      case ServeEventKind::kDecodeUp: {
-        S.Add(p, now, config.num_classes);
-        --pool.pending_ups;
-        ++pool.active;
-        int& peak = PerPool(p, metrics.peak_prefill_instances, metrics.peak_decode_instances);
-        peak = std::max(peak, pool.active);
-        const char* reason = pool.up_reasons.front();
-        pool.up_reasons.pop_front();
-        metrics.scale_events.push_back({now, p, +1, pool.active, reason});
-        if (faults_enabled) {
-          int slot = static_cast<int>(pool.size()) - 1;
-          schedule_next_failure(p, slot, now, 0);
-          schedule_new_domains(p, now);
-          schedule_next_degrade(p, slot, now, 0);
-        }
-        dispatch(p);
-        break;
-      }
-      default:
-        assert(false && "unhandled serve event kind");
-    }
+    return lost;
   }
 
-  assert(coalesced_count == 0 && "a coalesced run outlived the event loop");
-  metrics.makespan_s = std::max(metrics.makespan_s, progress_now);
-  metrics.peak_demand_entries = peak_demand_entries;
-  const double makespan = metrics.makespan_s;
-  if (makespan > 0.0) {
-    metrics.decode_tokens_per_s = metrics.output_tokens / makespan;
-    for (ScalePool p : kPools) {
-      const InstancePool& pool = S.Pool(p);
-      const double busy = pool.TotalBusy();
-      double& utilization = PerPool(p, metrics.prefill_utilization, metrics.decode_utilization);
-      if (scaler.enabled || faults_enabled) {
-        // Provisioned instance-seconds over [0, makespan]: each instance
-        // contributes its up..down (or up..end) lifetime, clamped so retires
-        // recorded by trailing decision ticks don't overrun the makespan.
-        // Fault runs fill these even with a fixed pool, so measured
-        // availability has its 1 - downtime / provisioned denominator.
-        double& instance_s =
-            PerPool(p, metrics.prefill_instance_seconds, metrics.decode_instance_seconds);
-        for (size_t i = 0; i < pool.size(); ++i) {
-          double end =
-              pool.down_time[i] >= 0.0 ? std::min(pool.down_time[i], makespan) : makespan;
-          instance_s += std::max(0.0, end - pool.up_time[i]);
-        }
-        utilization = instance_s > 0.0 ? busy / instance_s : 0.0;
-        PerPool(p, metrics.final_prefill_instances, metrics.final_decode_instances) = pool.active;
-      } else {
-        utilization =
-            busy / (PerPool(p, config.prefill_instances, config.decode_instances) * makespan);
-      }
-      PerPool(p, metrics.prefill_busy_s, metrics.decode_busy_s) = busy;
+  // An independent failure of instance i of pool p.
+  void OnFail(ScalePool p, const InstancePool& pool, int i, int epoch) {
+    if (!pool.Current(i, epoch)) {
+      return;
     }
-    double batch_product = 0.0;
-    for (double b : S.d_batch_time_product) {
-      batch_product += b;
-    }
-    metrics.mean_decode_batch =
-        metrics.decode_busy_s > 0.0 ? batch_product / metrics.decode_busy_s : 0.0;
-    metrics.decode_batch_time_product = batch_product;
-    if (faults_enabled) {
-      // Per-pool downtime over [0, makespan], replayed from the event log:
-      // each failure opens an interval its spare-activation/repair closes.
-      // An interval left open by a retired-while-draining instance (no
-      // recovery was scheduled) contributes nothing — the retirement is
-      // already accounted in the instance-seconds integral.
-      std::vector<double> down_since[2] = {std::vector<double>(P.size(), -1.0),
-                                           std::vector<double>(D.size(), -1.0)};
-      for (const FaultEvent& e : metrics.fault_events) {
-        double& since =
-            down_since[static_cast<size_t>(e.pool)][static_cast<size_t>(e.instance)];
-        if (e.kind == FaultEventKind::kFailure) {
-          since = e.time_s;
-        } else if (e.kind == FaultEventKind::kSpareActivation ||
-                   e.kind == FaultEventKind::kRepair) {
-          PerPool(e.pool, metrics.prefill_fault_downtime_s, metrics.decode_fault_downtime_s) +=
-              std::min(e.time_s, makespan) - std::min(since, makespan);
-          since = -1.0;
-        }
-      }
-      for (ScalePool p : kPools) {
-        const std::vector<double>& since = down_since[static_cast<size_t>(p)];
-        for (size_t i = 0; i < since.size(); ++i) {
-          if (since[i] >= 0.0 && !(S.Pool(p).state[i] & kInactive)) {
-            PerPool(p, metrics.prefill_fault_downtime_s, metrics.decode_fault_downtime_s) +=
-                makespan - std::min(since[i], makespan);
-          }
-        }
-      }
-    }
+    note_outage(fail(p, i, /*domain=*/-1));
+    // Retried victims queue for prefill; surviving instances pick them up
+    // immediately.
+    try_start_prefill(now);
   }
-  if (degrade_enabled) {
-    // Close windows still open at the end of the run, clipped to makespan.
-    for (ScalePool p : kPools) {
-      const InstancePool& pool = S.Pool(p);
-      for (size_t i = 0; i < pool.size(); ++i) {
-        if (pool.degrade_since[i] >= 0.0) {
-          PerPool(p, metrics.prefill_degraded_instance_s, metrics.decode_degraded_instance_s) +=
-              std::max(0.0, makespan - pool.degrade_since[i]);
-        }
+
+  // One domain outage downs every live member at this timestamp, in
+  // ascending instance order; the whole group is one outage for the
+  // blast-radius / drain accounting.
+  void OnDomainFail(ScalePool p, const InstancePool& pool, int domain) {
+    const int lo = domain * pool.instances_per_domain;
+    const int hi = std::min(static_cast<int>(pool.size()), lo + pool.instances_per_domain);
+    double lost = 0.0;  // token counts are integers, so the sum is exact
+    for (int m = lo; m < hi; ++m) {
+      if (!(pool.state[m] & (kInactive | kDown))) {  // else nothing left to kill
+        lost += fail(p, m, domain);
       }
     }
+    note_outage(lost);
+    faults.NextDomainFailure(p, domain, now);
+    try_start_prefill(now);
   }
-  if (drain_pending) {
-    // The queues never emptied again after the largest outage: the drain
-    // took the rest of the run.
-    metrics.time_to_drain_s =
-        std::max(0.0, metrics.makespan_s - metrics.largest_outage_time_s);
+
+  void OnDegradeStart(ScalePool p, InstancePool& pool, int i, int epoch) {
+    if (!pool.Current(i, epoch)) {
+      return;
+    }
+    if (p == ScalePool::kDecode && is_coalesced(i)) {
+      cut_run(i);  // the next step dispatches at the new multiplier
+    }
+    double duration =
+        faults.streams.NextDegradeDuration(p, i, config.faults.degraded.mean_duration_s);
+    pool.degrade_mult[i] = config.faults.degraded.multiplier;
+    pool.degrade_since[i] = now;
+    ++metrics.degrade_windows;
+    metrics.fault_events.push_back(
+        {now, FaultEventKind::kDegradeStart, p, i, 0, 0.0, pool.spares_free});
+    events.Push({now + duration, KindOf(ServeEventKind::kPrefillDegradeEnd, p), i, epoch});
   }
-  return metrics;
-}
+
+  void OnDegradeEnd(ScalePool p, const InstancePool& pool, int i, int epoch) {
+    if (!pool.Current(i, epoch)) {
+      return;  // a failure already cleared the window
+    }
+    if (p == ScalePool::kDecode && is_coalesced(i)) {
+      cut_run(i);
+    }
+    close_degrade(p, i);
+    metrics.fault_events.push_back(
+        {now, FaultEventKind::kDegradeEnd, p, i, 0, 0.0, pool.spares_free});
+    faults.NextDegrade(p, i, now, epoch);
+  }
+
+  void OnRecover(ScalePool p, InstancePool& pool, int i, int epoch) {
+    if (!pool.Current(i, epoch)) {
+      return;  // retired while down
+    }
+    pool.state[i] &= static_cast<uint8_t>(~kDown);
+    pool.SyncReady(i);
+    metrics.fault_events.push_back(
+        {now, pool.via_spare[i] ? FaultEventKind::kSpareActivation : FaultEventKind::kRepair, p,
+         i, 0, 0.0, pool.spares_free});
+    faults.NextFailure(p, i, now, pool.epoch[i]);
+    faults.NextDegrade(p, i, now, pool.epoch[i]);
+    p == ScalePool::kPrefill ? try_start_prefill(now) : try_start_decode_step(now, -1);
+  }
+
+  void OnSpareReturn(ScalePool p, InstancePool& pool, int i) {
+    ++pool.spares_free;
+    metrics.fault_events.push_back(
+        {now, FaultEventKind::kSpareReturn, p, i, 0, 0.0, pool.spares_free});
+  }
+};
 
 }  // namespace
 
 ServeMetrics RunServeSimulation(const RequestSoA& requests,
                                 const ServeClusterConfig& config,
                                 const StepTimeTable& table) {
-  return RunSimulation(requests, config, table);
+  if (table.empty() || config.prefill_instances <= 0 || config.decode_instances <= 0) {
+    return ServeMetrics();
+  }
+  ServeEngine engine(requests, config, table);
+  engine.Run();
+  return engine.Finish();
 }
 
 ServeMetrics RunServeSimulation(const std::vector<Request>& requests,
                                 const ServeClusterConfig& config,
                                 const StepTimeTable& table) {
-  return RunSimulation(RequestSoA::FromRequests(requests), config, table);
+  return RunServeSimulation(RequestSoA::FromRequests(requests), config, table);
 }
 
 ServeMetrics MergeServeShardMetrics(const ServeClusterConfig& config,
                                     const std::vector<ServeMetrics>& shards) {
-  ServeMetrics merged;
+  if (!config.stream_ttft) {
+    throw std::invalid_argument("MergeServeShardMetrics: config.stream_ttft must be set");
+  }
   if (shards.empty()) {
-    return merged;
+    return ServeMetrics();
   }
-  merged.ttft_streamed = shards.front().ttft_streamed;
-  if (merged.ttft_streamed) {
-    merged.ttft_hist = LatencyHistogram(config.ttft_hist_hi_s);
-  }
-  if (config.num_classes > 0) {
-    merged.per_class.resize(static_cast<size_t>(config.num_classes));
-    if (merged.ttft_streamed) {
-      for (ServeClassMetrics& pc : merged.per_class) {
-        pc.ttft_hist = LatencyHistogram(config.ttft_hist_hi_s);
-      }
-    }
-  }
+  ServeMetrics merged;
+  ShapeMetrics(config, merged);
   // Fold in shard-index order — deterministic regardless of which thread
   // finished which shard first.
   for (const ServeMetrics& m : shards) {
-    if (merged.ttft_streamed) {
-      merged.ttft_hist.Merge(m.ttft_hist);
-    } else {
-      for (double v : m.ttft_s.samples()) {
-        merged.ttft_s.Add(v);
-      }
+    if (!m.ttft_streamed) {
+      throw std::invalid_argument("MergeServeShardMetrics: every shard must stream TTFT");
     }
+    merged.ttft_hist.Merge(m.ttft_hist);
     merged.tbt_s.Merge(m.tbt_s);
     merged.completed_requests += m.completed_requests;
     merged.admitted_requests += m.admitted_requests;
@@ -1726,13 +1655,7 @@ ServeMetrics MergeServeShardMetrics(const ServeClusterConfig& config,
     for (size_t c = 0; c < merged.per_class.size() && c < m.per_class.size(); ++c) {
       ServeClassMetrics& out = merged.per_class[c];
       const ServeClassMetrics& in = m.per_class[c];
-      if (merged.ttft_streamed) {
-        out.ttft_hist.Merge(in.ttft_hist);
-      } else {
-        for (double v : in.ttft_s.samples()) {
-          out.ttft_s.Add(v);
-        }
-      }
+      out.ttft_hist.Merge(in.ttft_hist);
       out.tbt_s.Merge(in.tbt_s);
       out.admitted_requests += in.admitted_requests;
       out.completed_requests += in.completed_requests;
@@ -1741,15 +1664,8 @@ ServeMetrics MergeServeShardMetrics(const ServeClusterConfig& config,
     }
   }
   if (merged.makespan_s > 0.0) {
-    merged.decode_tokens_per_s = merged.output_tokens / merged.makespan_s;
-    merged.prefill_utilization =
-        merged.prefill_busy_s / (config.prefill_instances * merged.makespan_s);
-    merged.decode_utilization =
-        merged.decode_busy_s / (config.decode_instances * merged.makespan_s);
+    SetFixedPoolRatios(config, merged);
   }
-  merged.mean_decode_batch = merged.decode_busy_s > 0.0
-                                 ? merged.decode_batch_time_product / merged.decode_busy_s
-                                 : 0.0;
   return merged;
 }
 

@@ -240,7 +240,9 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests,
 // makespan is the summed sub-horizon makespan; rates and utilizations are
 // recomputed as ratios of the summed aggregates; TTFT/TBT histograms merge
 // bin-wise (every shard must use the same histogram configuration — the
-// Runner arms them all with the full horizon's range). Shards must be
+// Runner arms them all with the full horizon's range). TTFT must be
+// streamed: throws std::invalid_argument unless config.stream_ttft is set
+// and every shard's ttft_streamed is true. Shards must be
 // single-pool-shape runs: the Runner's validation rejects shards with the
 // autoscaler, faults, or time-inhomogeneous arrivals, so scale/fault event
 // logs are empty by construction.

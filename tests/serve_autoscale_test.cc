@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "src/core/runner.h"
 #include "src/core/scenario.h"
+#include "src/serve/autoscaler.h"
 #include "src/serve/simulator.h"
 #include "src/serve/workload.h"
 #include "tests/serve_identity.h"
@@ -482,6 +484,82 @@ TEST(Runner, TraceServeStudyDerivesItsRateFromTheTrace) {
   const auto& serve = std::get<ServeStudyReport>(report.payload);
   EXPECT_NEAR(serve.arrival_rate_per_s, 20.0, 1e-9);
   EXPECT_EQ(serve.admitted_requests, 200);
+}
+
+// --- the autoscaler's decision, without a run ---
+
+TEST(AutoscalerDecide, ReactiveAndPredictiveDecisionsFollowTheTable) {
+  // One pool's decision is a pure function of what the engine measured at
+  // the tick. The decode pool here holds 2..6 instances of 100 tokens/s
+  // each; utilization is busy_delta / (live * window) over a 10 s window,
+  // and the backlog is queued_tokens / (max(1, live) * 100) seconds.
+  ServeAutoscalerConfig cfg;
+  cfg.enabled = true;
+  cfg.min_decode_instances = 2;
+  cfg.max_decode_instances = 6;
+  cfg.decode_tokens_per_s = 100.0;
+  cfg.min_prefill_instances = 1;
+  cfg.max_prefill_instances = 3;
+  cfg.prefill_tokens_per_s = 1000.0;
+  ASSERT_EQ(cfg.scale_up_backlog_s, 2.0);
+  ASSERT_EQ(cfg.scale_up_utilization, 0.9);
+  ASSERT_EQ(cfg.scale_down_utilization, 0.35);
+  ASSERT_EQ(cfg.headroom, 1.1);
+  struct Case {
+    const char* name;
+    bool predictive;
+    ScalePool pool;
+    int live, pending_ups;
+    double busy_delta, queued_tokens, forecast_rate;
+    std::vector<std::string> ups;
+    const char* drain;
+  };
+  constexpr ScalePool kD = ScalePool::kDecode;
+  const Case cases[] = {
+      // Reactive.
+      {"backlog beats utilization", false, kD, 4, 0, 40, 1000, 0, {"backlog"}, nullptr},
+      {"utilization alone", false, kD, 4, 0, 38, 100, 0, {"utilization"}, nullptr},
+      {"no live instance counts as one", false, kD, 0, 0, 0, 300, 0, {"backlog"}, nullptr},
+      {"max cap", false, kD, 6, 0, 60, 5000, 0, {}, nullptr},
+      {"max cap counts pending ups", false, kD, 5, 1, 50, 5000, 0, {}, nullptr},
+      {"prefill limits for the prefill pool", false, ScalePool::kPrefill, 3, 0, 30, 1e6, 0, {},
+       nullptr},
+      {"drain below the down threshold", false, kD, 4, 0, 8, 0, 0, {}, "utilization"},
+      {"min floor", false, kD, 2, 0, 1, 0, 0, {}, nullptr},
+      {"no drain while ups are pending", false, kD, 4, 1, 8, 0, 0, {}, nullptr},
+      {"no drain while tokens are queued", false, kD, 4, 0, 8, 10, 0, {}, nullptr},
+      {"no drain between the thresholds", false, kD, 4, 0, 20, 0, 0, {}, nullptr},
+      // Predictive: desired = clamp(ceil(1.1 * forecast / 100), 2, 6).
+      {"forecast ups up to the target", true, kD, 2, 0, 0, 0, 350, {"forecast", "forecast"},
+       nullptr},
+      {"forecast counts pending ups", true, kD, 2, 1, 0, 0, 350, {"forecast"}, nullptr},
+      {"forecast clamped to the max", true, kD, 2, 0, 0, 0, 1e4,
+       {"forecast", "forecast", "forecast", "forecast"}, nullptr},
+      {"backlog safety net after the forecast ups", true, kD, 2, 0, 0, 1000, 350,
+       {"forecast", "forecast", "backlog"}, nullptr},
+      {"backlog safety net capped at the max", true, kD, 6, 0, 0, 5000, 1e4, {}, nullptr},
+      {"utilization does not scale a predictive pool", true, kD, 4, 0, 40, 0, 380, {"forecast"},
+       nullptr},
+      {"forecast drain", true, kD, 5, 0, 0, 0, 100, {}, "forecast"},
+      {"no forecast drain while tokens are queued", true, kD, 5, 0, 0, 10, 100, {}, nullptr},
+      {"no forecast drain while ups are pending", true, kD, 5, 1, 0, 0, 100, {}, nullptr},
+      {"no forecast drain at the min", true, kD, 2, 0, 0, 0, 0, {}, nullptr},
+  };
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.name);
+    cfg.predictive = k.predictive;
+    ScaleInputs in;
+    in.live = k.live;
+    in.pending_ups = k.pending_ups;
+    in.busy_delta = k.busy_delta;
+    in.window = 10.0;
+    in.queued_tokens = k.queued_tokens;
+    in.forecast_rate = k.forecast_rate;
+    const ScaleDecision d = Autoscaler::Decide(cfg, k.pool, in);
+    EXPECT_EQ(std::vector<std::string>(d.up_reasons.begin(), d.up_reasons.end()), k.ups);
+    EXPECT_EQ(std::string(d.drain_reason ? d.drain_reason : "none"),
+              std::string(k.drain ? k.drain : "none"));
+  }
 }
 
 TEST(Simulator, PredictiveDemandHistoryStaysBoundedByTheForecastWindow) {

@@ -11,6 +11,8 @@
 #include <array>
 #include <cmath>
 #include <set>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -967,6 +969,102 @@ TEST(SimulatorFaults, EveryLifecycleTransitionOnBothPoolsMatchesReference) {
   }
   EXPECT_EQ(a.completed_requests, a.admitted_requests);
   ExpectSameServeMetrics(a, b);
+}
+
+// --- per-thread scratch reuse ---
+
+// Every run on a thread reuses that thread's SimScratch: per-instance
+// columns, class counts, retry budgets and the calendar queue. A run must
+// not read what an earlier run of another shape left there. A large faulty,
+// autoscaled, three-class point and a small plain one run back to back on
+// one thread, in both orders, and so do the large point and a large one of
+// another shape; each second run must equal the same run on a fresh thread
+// and the reference engine.
+TEST(SimulatorScratch, ReuseAcrossRunShapesMatchesAFreshThreadAndTheReference) {
+  struct Point {
+    std::vector<Request> requests;
+    ServeClusterConfig config;
+    StepTimeTable table;
+  };
+  // Bursts and lulls that grow and drain both pools, with churn-rate
+  // failures, domain outages and degrade windows on every shape.
+  auto faulty_autoscaled = [](int instances, int classes, int retry_budget, uint64_t seed) {
+    Point p;
+    for (double t = 0.0; t < 60.0;) {
+      Request r;
+      r.id = static_cast<int>(p.requests.size());
+      r.arrival_s = t;
+      r.prompt_tokens = 800;
+      r.output_tokens = 20 + (r.id * 37) % 200;
+      r.class_id = r.id % classes;
+      p.requests.push_back(r);
+      t += static_cast<int>(t / 10.0) % 2 == 0 ? 0.1 : 0.5;
+    }
+    p.table = TableOf([](int batch) { return 0.5 * std::sqrt(batch); },
+                      [](int batch) { return 0.05 + 5e-3 * batch; }, 4, 16);
+    ServeClusterConfig& c = p.config;
+    c.prefill_instances = instances;
+    c.decode_instances = instances;
+    c.horizon_s = 60.0;
+    c.num_classes = classes;
+    c.autoscaler.enabled = true;
+    c.autoscaler.interval_s = 1.0;
+    c.autoscaler.delay_s = 1.0;
+    c.autoscaler.max_prefill_instances = 12;
+    c.autoscaler.max_decode_instances = 12;
+    c.autoscaler.prefill_tokens_per_s = 4 * 800 / p.table.PrefillTime(4);
+    c.autoscaler.decode_tokens_per_s = 16 / p.table.DecodeStepTime(16);
+    c.faults = ChurnyFaults(FaultRetryPolicy::kRetryWithBudget);
+    c.faults.retry_budget = retry_budget;
+    c.faults.seed = FaultSubstreamSeed(seed);
+    c.faults.domains.prefill_instances_per_domain = 2;
+    c.faults.domains.decode_instances_per_domain = 2;
+    c.faults.domains.failure_rate_per_s = 0.05;
+    c.faults.domains.repair_s = 1.0;
+    c.faults.degraded.prefill_rate_per_s = 0.2;
+    c.faults.degraded.decode_rate_per_s = 0.2;
+    c.faults.degraded.multiplier = 2.0;
+    c.faults.degraded.mean_duration_s = 5.0;
+    return p;
+  };
+  const Point large = faulty_autoscaled(2, 3, 1, 42);
+  const Point other_large = faulty_autoscaled(3, 2, 2, 7);
+  Point small;
+  small.requests = FixedRequests(200, 0.02, 16);
+  small.config.prefill_instances = 1;
+  small.config.decode_instances = 1;
+  small.config.horizon_s = 4.0;
+  small.table = SimpleTable();
+
+  auto run = [](const Point& p) { return RunServeSimulation(p.requests, p.config, p.table); };
+  for (const Point* p : {&large, &other_large}) {
+    ServeMetrics alone;
+    std::thread([&] { alone = run(*p); }).join();
+    EXPECT_GT(alone.peak_decode_instances, p->config.decode_instances);
+    EXPECT_GT(alone.retried_requests, 0);
+    EXPECT_GT(alone.dropped_requests, 0);
+    EXPECT_GT(alone.degrade_windows, 0);
+  }
+  const std::pair<const Point*, const char*> firsts_and_seconds[][2] = {
+      {{&large, "large"}, {&small, "small"}},
+      {{&small, "small"}, {&large, "large"}},
+      {{&large, "large"}, {&other_large, "other large"}},
+  };
+  for (const auto& order : firsts_and_seconds) {
+    SCOPED_TRACE(std::string(order[0].second) + ", then " + order[1].second);
+    const Point& first = *order[0].first;
+    const Point& second = *order[1].first;
+    ServeMetrics reused;
+    std::thread([&] {
+      run(first);
+      reused = run(second);
+    }).join();
+    ServeMetrics fresh;
+    std::thread([&] { fresh = run(second); }).join();
+    ExpectSameServeMetrics(reused, fresh);
+    ExpectSameServeMetrics(
+        reused, RunServeSimulationReference(second.requests, second.config, second.table));
+  }
 }
 
 TEST(SimulatorFaults, RerunsAreDeterministic) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -128,6 +129,34 @@ TEST(MergeServeShardMetrics, CountsSumAndRatiosRecomputeFromSummedAggregates) {
   ServeMetrics again = MergeServeShardMetrics(config, {a, b});
   EXPECT_EQ(again.ttft_hist.Quantile(0.99), merged.ttft_hist.Quantile(0.99));
   EXPECT_EQ(again.decode_tokens_per_s, merged.decode_tokens_per_s);
+}
+
+TEST(MergeServeShardMetrics, RejectsUnstreamedShards) {
+  // The merge folds TTFT histograms bin-wise; exact TTFT samples have no
+  // merge, so an unstreamed config or shard is a caller error, not an empty
+  // distribution.
+  ServeMetrics streamed = RunShard(10.0, 7);
+  ServeClusterConfig config;
+  config.prefill_instances = 2;
+  config.decode_instances = 2;
+  config.horizon_s = 10.0;
+  config.stream_ttft = true;
+  EXPECT_NO_THROW(MergeServeShardMetrics(config, {streamed}));
+
+  ServeClusterConfig unstreamed_config = config;
+  unstreamed_config.stream_ttft = false;
+  EXPECT_THROW(MergeServeShardMetrics(unstreamed_config, {streamed}), std::invalid_argument);
+  EXPECT_THROW(MergeServeShardMetrics(unstreamed_config, {}), std::invalid_argument);
+
+  WorkloadSpec spec;
+  spec.arrival_rate_per_s = 20.0;
+  spec.duration_s = 10.0;
+  spec.seed = 7;
+  ServeMetrics unstreamed = RunServeSimulation(GenerateWorkload(spec), unstreamed_config,
+                                               ConstantTable());
+  ASSERT_FALSE(unstreamed.ttft_streamed);
+  EXPECT_THROW(MergeServeShardMetrics(config, {streamed, unstreamed}), std::invalid_argument);
+  EXPECT_THROW(MergeServeShardMetrics(config, {unstreamed}), std::invalid_argument);
 }
 
 // --- runner determinism contract ---
